@@ -102,16 +102,26 @@ def _parse_mod_list(text: str) -> List[int]:
     return mods
 
 
+def _nonnegative(flag: str, value: int) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _path_limit(args) -> int:
+    """--path-limit, else $LDK_PATH_LIMIT, else the default; ValueError
+    if the limit given is negative."""
     if args.path_limit is not None:
-        return args.path_limit
+        return _nonnegative("--path-limit", args.path_limit)
     env = os.environ.get(PATH_LIMIT_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            _note(f"ignoring invalid {PATH_LIMIT_ENV}={env!r}")
-    return DEFAULT_PATH_LIMIT
+    if not env:
+        return DEFAULT_PATH_LIMIT
+    try:
+        value = int(env)
+    except ValueError:
+        _note(f"ignoring invalid {PATH_LIMIT_ENV}={env!r}")
+        return DEFAULT_PATH_LIMIT
+    return _nonnegative(PATH_LIMIT_ENV, value)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +184,15 @@ def cmd_paths(args) -> int:
     command = "paths"
     try:
         term = parse_term(args.term)
-    except ParseError as exc:
+        limit = _path_limit(args)
+    except (ParseError, ValueError) as exc:
         return _fail(command, exc, EXIT_PARSE)
     try:
         graph, _ = graph_of_term(term)
     except RepeatedVariableError as exc:
         return _fail(command, exc, EXIT_VALIDATION)
     try:
-        paths = maximal_paths(graph, limit=_path_limit(args))
+        paths = maximal_paths(graph, limit=limit)
     except PathLimitExceededError as exc:
         return _fail(command, exc, EXIT_LIMIT)
     _emit({"command": command, "status": "ok",
@@ -198,13 +209,11 @@ def cmd_check(args) -> int:
         mods = _parse_mod_list(args.mod)
     except (ParseError, ValueError) as exc:
         return _fail(command, exc, EXIT_PARSE)
-    limit = _path_limit(args)
     results = []
     try:
         for ident in identities:
             for modulus in mods:
-                verdict = check_identity(ident, modulus, b=args.b,
-                                         path_limit=limit)
+                verdict = check_identity(ident, modulus, b=args.b)
                 entry = {
                     "identity": pretty_identity(ident),
                     "modulus": modulus,
@@ -213,8 +222,7 @@ def cmd_check(args) -> int:
                     "solution": verdict.witness.to_json(),
                 }
                 if args.self_dual:
-                    report = check_self_duality(ident, modulus, b=args.b,
-                                                path_limit=limit)
+                    report = check_self_duality(ident, modulus, b=args.b)
                     entry["self_duality"] = dict(report.flags)
                 if args.oracle is not None:
                     if modulus in (2, 3, 5):
@@ -231,7 +239,7 @@ def cmd_check(args) -> int:
                       f"{'holds' if verdict.holds else 'fails'}")
     except DualityError as exc:
         return _fail(command, exc, EXIT_ASSERTION)
-    except (PathLimitExceededError, OracleCapError) as exc:
+    except OracleCapError as exc:
         return _fail(command, exc, EXIT_LIMIT)
     _emit({"command": command, "status": "ok",
            "inputs": {"identity": args.identity, "mod": mods, "b": args.b},
@@ -243,6 +251,11 @@ def cmd_solve(args) -> int:
     command = "solve"
     path = Path(args.problem)
     try:
+        limit = _path_limit(args)
+        _nonnegative("--enum-cap", args.enum_cap)
+    except ValueError as exc:
+        return _fail(command, exc, EXIT_PARSE)
+    try:
         obj = json.loads(path.read_text())
     except OSError as exc:
         return _fail(command, exc, EXIT_PARSE)
@@ -253,7 +266,6 @@ def cmd_solve(args) -> int:
     except (ProblemFormatError, GraphFormatError, GraphValidationError,
             ValueError) as exc:
         return _fail(command, exc, EXIT_VALIDATION)
-    limit = _path_limit(args)
     try:
         report = solve_problem(problem, mode=args.mode, path_limit=limit)
         dual_report = solve_problem(dual_problem(problem), mode=args.mode,
@@ -313,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", type=int, metavar="D", default=None,
                    help="cross-check on the subspace lattice of F_m^D")
     p.add_argument("-b", type=int, default=1, help="target element (default 1)")
-    p.add_argument("--path-limit", type=int, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="solve a problem file")

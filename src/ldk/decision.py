@@ -17,9 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from .balance import BalanceTrace, one_balance
 from .linsolve import SolutionReport, solve_problem
@@ -35,6 +34,9 @@ from .terms import (
     is_one_balanced,
     variables,
 )
+
+if TYPE_CHECKING:  # numpy is imported on call, by the oracles only
+    import numpy as np
 
 Vector = Tuple[int, ...]
 Basis = Tuple[Vector, ...]
@@ -154,6 +156,8 @@ def _meet_basis(a: Basis, b: Basis, dim: int, m: int) -> Basis:
 @lru_cache(maxsize=None)
 def subspace_lattice(m: int, d: int) -> SubspaceLattice:
     """Enumerate the subspace lattice of F_m^d (m in {2, 3, 5}, d <= 3)."""
+    import numpy as np
+
     if m not in (2, 3, 5):
         raise ValueError(f"supported prime moduli are 2, 3, 5; got {m}")
     if d not in (1, 2, 3):
@@ -194,6 +198,8 @@ def oracle_holds(ident: Identity, lattice: SubspaceLattice,
     vectorized over the full assignment grid; entirely independent of the
     graph pipeline.
     """
+    import numpy as np
+
     var_list = sorted(variables(ident.lhs) | variables(ident.rhs))
     k = len(var_list)
     if k > var_cap:
@@ -301,12 +307,14 @@ def build_problem(ident: Identity, modulus: int, b: int = 1) -> PbgProblem:
 
 
 def check_identity(ident: Identity, modulus: int, b: int = 1,
-                   mode: str = "full",
+                   mode: str = "facet_reduced",
                    path_limit: Optional[int] = None) -> Verdict:
     """Does ``ident`` hold in the submodule lattices of all Z_m-modules?
 
     Pipeline: balance, compile both sides to graphs, solve the resulting
-    problem exactly; the identity holds iff the problem is solvable.
+    problem exactly; the identity holds iff the problem is solvable.  The
+    default ``facet_reduced`` system never enumerates control paths;
+    ``full`` does, and is kept as a reference.
     """
     balanced, trace = one_balance(ident)
     problem = build_problem(balanced, modulus, b)
@@ -339,7 +347,7 @@ class SelfDualityReport:
 
 
 def check_self_duality(ident: Identity, modulus: int, b: int = 1,
-                       mode: str = "full",
+                       mode: str = "facet_reduced",
                        path_limit: Optional[int] = None) -> SelfDualityReport:
     """Check the identity, its dual, and the dual problem; all four
     verdicts must agree, otherwise the implementation is broken."""

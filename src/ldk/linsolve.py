@@ -4,7 +4,7 @@ The constraints of a problem assemble into an integer matrix with entries
 in {-1, 0, 1}; solvability over Z or Z_m is decided through the Smith
 normal form, computed in exact arbitrary-precision arithmetic (Python
 ints).  A brute-force enumerator over (Z_m)^n serves as the independent
-oracle for the solver.
+oracle for the solver; it is the only user of numpy, imported on call.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .pbg import GroupSpec, PbgProblem, transp_content
 from .planegraph import first_path, maximal_paths, sorted_vertices
@@ -61,7 +59,8 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     diagonal nonnegative with d1 | d2 | ...
 
     Pivoting is deterministic: smallest nonzero absolute value, ties by
-    lowest row then lowest column.
+    lowest row then lowest column.  The row-major search stops at the
+    first unit entry, which that rule would pick anyway.
     """
     A = [list(row) for row in M.rows]
     nrows = len(A)
@@ -95,13 +94,20 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         A[i] = [-x for x in A[i]]
         U[i] = [-x for x in U[i]]
 
-    for t in range(min(nrows, ncols)):
+    def find_pivot(t: int) -> Optional[Tuple[int, int, int]]:
         pivot = None
         for i in range(t, nrows):
+            row = A[i]
             for j in range(t, ncols):
-                value = abs(A[i][j])
+                value = abs(row[j])
                 if value and (pivot is None or value < pivot[0]):
                     pivot = (value, i, j)
+                    if value == 1:
+                        return pivot
+        return pivot
+
+    for t in range(min(nrows, ncols)):
+        pivot = find_pivot(t)
         if pivot is None:
             break
         row_swap(t, pivot[1])
@@ -248,15 +254,37 @@ def _coefficient_rows(problem: PbgProblem):
     return verts, column, coeff
 
 
+def _facet_blocks(problem: PbgProblem, transp: Dict[object, int]):
+    """(signed edges, transport) per block: the first maximal control path
+    with the transport targets, then each inner control facet with its
+    left boundary counted +1 and its right boundary -1."""
+    control = problem.control
+    sides: Dict[object, List[Tuple[int, int]]] = {
+        facet: [] for facet in control.inner_facets}
+    for idx in problem.edge_indices:
+        edge = control.edges[idx]
+        if edge.right in sides:
+            sides[edge.right].append((idx, 1))
+        if edge.left in sides:
+            sides[edge.left].append((idx, -1))
+    yield [(idx, 1) for idx in first_path(control)], transp
+    for signed in sides.values():
+        yield signed, {}
+
+
 def assemble_system(problem: PbgProblem, mode: str = "full",
                     path_limit: Optional[int] = None) -> Tuple[IntMatrix, Tuple[int, ...]]:
     """Turn the path constraints into an integer system M a = rhs.
 
     ``full``: one row per (maximal control path, flow vertex), duplicates
     removed, paths in depth-first order and vertices in id order.
-    ``facet_reduced``: transport equations along the first maximal path,
-    plus per inner control facet and flow vertex the equation "effect of
-    the left boundary = effect of the right boundary".
+    ``facet_reduced``: one block of rows for the transport equations along
+    the first maximal path, and one per inner control facet for "effect of
+    the left boundary = effect of the right boundary".  A block has rows
+    only for the flow vertices that one of its edges ends at or that carry
+    transport, in id order, less the last: over all vertices a block's
+    rows and right-hand sides sum to zero.  All-zero rows with a zero
+    right-hand side and repeated (row, rhs) pairs are dropped.
     """
     verts, column, coeff = _coefficient_rows(problem)
     n = problem.n
@@ -266,54 +294,48 @@ def assemble_system(problem: PbgProblem, mode: str = "full",
 
     rows: List[Tuple[int, ...]] = []
     rhs: List[int] = []
+    seen = set()
 
-    def path_row(path: Sequence[int], v) -> Tuple[int, ...]:
-        row = [0] * n
-        table = coeff[v]
-        for j in path:
-            c = table.get(j)
-            if c:
-                row[column[j]] = c
-        return tuple(row)
+    def keep(row: Tuple[int, ...], target: int) -> None:
+        if (row, target) not in seen:
+            seen.add((row, target))
+            rows.append(row)
+            rhs.append(target)
 
     if mode == "full":
         kwargs = {} if path_limit is None else {"limit": path_limit}
-        seen = set()
         for path in maximal_paths(problem.control, **kwargs):
-            for v in verts:
-                row = path_row(path, v)
-                key = (row, transp[v])
-                if key in seen:
-                    continue
-                seen.add(key)
-                rows.append(row)
-                rhs.append(transp[v])
-    elif mode == "facet_reduced":
-        base = first_path(problem.control)
-        for v in verts:
-            rows.append(path_row(base, v))
-            rhs.append(transp[v])
-        control = problem.control
-        for facet in control.inner_facets:
-            left_half = [idx for idx in problem.edge_indices
-                         if control.edges[idx].right == facet]
-            right_half = [idx for idx in problem.edge_indices
-                          if control.edges[idx].left == facet]
             for v in verts:
                 row = [0] * n
                 table = coeff[v]
-                for j in left_half:
-                    row[column[j]] += table.get(j, 0)
-                for j in right_half:
-                    row[column[j]] -= table.get(j, 0)
-                rows.append(tuple(row))
-                rhs.append(0)
+                for j in path:
+                    c = table.get(j)
+                    if c:
+                        row[column[j]] = c
+                keep(tuple(row), transp[v])
+    elif mode == "facet_reduced":
+        order = {v: pos for pos, v in enumerate(verts)}
+        flow_edges = problem.flow.edges
+        for signed, targets in _facet_blocks(problem, transp):
+            touched = {v: {} for v, target in targets.items() if target}
+            for idx, sign in signed:
+                edge, col = flow_edges[idx], column[idx]
+                for v, c in ((edge.head, sign), (edge.tail, -sign)):
+                    entries = touched.setdefault(v, {})
+                    entries[col] = entries.get(col, 0) + c
+            for v in sorted(touched, key=order.__getitem__)[:-1]:
+                row = [0] * n
+                for col, c in touched[v].items():
+                    row[col] = c
+                target = targets.get(v, 0)
+                if target or any(row):
+                    keep(tuple(row), target)
     else:
         raise ValueError(f"unknown assembly mode {mode!r}")
     return IntMatrix.from_rows(rows), tuple(rhs)
 
 
-def solve_problem(problem: PbgProblem, mode: str = "full",
+def solve_problem(problem: PbgProblem, mode: str = "facet_reduced",
                   path_limit: Optional[int] = None) -> SolutionReport:
     M, rhs = assemble_system(problem, mode=mode, path_limit=path_limit)
     return solve(M, rhs, problem.group)
@@ -327,6 +349,8 @@ def enumerate_solutions(problem: PbgProblem, cap: int = DEFAULT_ENUM_CAP,
     Checks the defining path conditions directly and independently of the
     Smith-form solver; vectorized over blocks of candidate vectors.
     """
+    import numpy as np
+
     m = problem.group.modulus
     if m < 1:
         raise ValueError("enumeration needs a finite modulus (m >= 1)")

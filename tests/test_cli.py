@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ldk
 from ldk.cli import main
 from ldk.decision import build_problem
 from ldk.pbg import problem_to_json
 from ldk.terms import parse_identity
 
+R1_TEXT = (r"(((x3 \/ (x3 /\ (x1 \/ x1))) \/ (x2 \/ x4)) /\ x1)"
+           r" <= (x1 /\ x1)")
 R_TEXT = r"(x1 \/ (x2 /\ (x3 \/ x4)) \/ x5) /\ (((x6 \/ x7) /\ (x8 \/ x9)) \/ x10)"
 
 
@@ -83,6 +90,45 @@ def test_path_limit_env_var(capsys, monkeypatch):
     monkeypatch.setenv("LDK_PATH_LIMIT", "50")
     code, report, _ = run(capsys, ["paths", r"x1 /\ x2 /\ x3"])
     assert code == 0 and report["outputs"]["count"] == 3
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["paths", "x1", "--path-limit", "-1"], None),
+    (["paths", "x1"], "-3"),
+    (["solve", "--problem", "unread.json", "--path-limit", "-2"], None),
+    (["solve", "--problem", "unread.json", "--enum-cap", "-1"], None),
+], ids=["paths-flag", "paths-env", "solve-path-limit", "solve-enum-cap"])
+def test_negative_limits_exit_2(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("LDK_PATH_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("LDK_PATH_LIMIT", env)
+    code, report, _ = run(capsys, argv)
+    assert code == 2 and report["status"] == "error"
+    assert "must be >= 0" in report["error"]["message"]
+
+
+def test_check_never_enumerates_control_paths(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check enumerated control paths")
+
+    monkeypatch.setattr("ldk.linsolve.maximal_paths", refuse)
+    code, report, _ = run(capsys, ["check", R1_TEXT, "--mod", "0,2,3,4,6",
+                                   "--self-dual"])
+    assert code == 0
+    assert [entry["modulus"] for entry in report["outputs"]] == [0, 2, 3, 4, 6]
+    assert all(entry["holds"] for entry in report["outputs"])
+
+
+def test_importing_the_cli_loads_no_numpy():
+    src = str(Path(ldk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ldk.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_check_modular_self_dual(capsys):

@@ -15,7 +15,7 @@ from ldk.linsolve import (
     solve,
     solve_problem,
 )
-from ldk.pbg import GroupSpec, is_solution
+from ldk.pbg import GroupSpec, dual_problem, is_solution, transpose_problem
 from ldk.terms import parse_identity
 
 MEET_JOIN = parse_identity(r"x1 /\ x2 <= x1 \/ x2")[0]
@@ -114,6 +114,22 @@ def test_snf_random_sign_matrices():
         assert abs(determinant(V.rows)) == 1
 
 
+def test_snf_diagonal_matches_sympy_invariant_factors():
+    from sympy import Matrix
+    from sympy.matrices.normalforms import invariant_factors
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(79)
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 8)
+        rows = [[rng.choice((-1, 0, 1)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        _, D, _ = smith_normal_form(IntMatrix.from_rows(rows))
+        diag = tuple(D.rows[i][i] for i in range(min(nrows, ncols)))
+        expected = invariant_factors(Matrix(rows), domain=ZZ)
+        assert diag == tuple(int(d) for d in expected), rows
+
+
 def test_snf_is_deterministic():
     M = IntMatrix.from_rows([[3, 1, -4], [2, -6, 0]])
     assert smith_normal_form(M) == smith_normal_form(M)
@@ -195,12 +211,24 @@ def test_solve_agrees_with_enumeration(balanced_corpus):
 def test_facet_reduced_matches_full(balanced_corpus):
     for ident in balanced_corpus[:30]:
         for m in (2, 3):
-            problem = build_problem(ident, m, 1)
-            full = solve_problem(problem, mode="full")
-            reduced = solve_problem(problem, mode="facet_reduced")
-            assert full.solvable == reduced.solvable
-            if m ** problem.n <= 10 ** 4:
-                M1, r1 = assemble_system(problem, mode="full")
-                M2, r2 = assemble_system(problem, mode="facet_reduced")
-                assert brute_solution_set(M1, r1, m, problem.n) == \
-                    brute_solution_set(M2, r2, m, problem.n)
+            primal = build_problem(ident, m, 1)
+            for problem in (primal, dual_problem(primal),
+                            transpose_problem(primal)):
+                full = solve_problem(problem, mode="full")
+                reduced = solve_problem(problem, mode="facet_reduced")
+                assert full.solvable == reduced.solvable
+                if m ** problem.n <= 10 ** 4:
+                    M1, r1 = assemble_system(problem, mode="full")
+                    M2, r2 = assemble_system(problem, mode="facet_reduced")
+                    assert brute_solution_set(M1, r1, m, problem.n) == \
+                        brute_solution_set(M2, r2, m, problem.n)
+
+
+def test_facet_reduced_rows_are_pruned(balanced_corpus):
+    for ident in balanced_corpus:
+        M, rhs = assemble_system(build_problem(ident, 0, 1),
+                                 mode="facet_reduced")
+        pairs = list(zip(M.rows, rhs))
+        # an all-zero row stays only as the unsolvable equation 0 = +-b
+        assert all(any(row) or target for row, target in pairs)
+        assert len(set(pairs)) == len(pairs)
