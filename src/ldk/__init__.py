@@ -21,7 +21,6 @@ from .terms import (
 from .balance import BalanceTrace, absorb_missing, one_balance, replay
 from .planegraph import (
     Edge,
-    EdgeIndexMap,
     GraphFormatError,
     GraphValidationError,
     PathLimitExceededError,

@@ -42,7 +42,6 @@ from .planegraph import (
     graph_of_term,
     graph_to_json,
     maximal_paths,
-    require_valid,
 )
 from .terms import ParseError, parse_identity, parse_term, pretty, pretty_identity
 
@@ -156,12 +155,11 @@ def cmd_graph(args) -> int:
     except ParseError as exc:
         return _fail(command, exc, EXIT_PARSE)
     try:
-        graph, _ = graph_of_term(term)
-        if args.dual:
-            graph = dual_graph(graph)
-        require_valid(graph)
-    except (RepeatedVariableError, GraphValidationError) as exc:
+        graph = graph_of_term(term)
+    except RepeatedVariableError as exc:
         return _fail(command, exc, EXIT_VALIDATION)
+    if args.dual:
+        graph = dual_graph(graph)
     stats = {
         "vertices": len(graph.vertices),
         "edges": graph.n,
@@ -188,7 +186,7 @@ def cmd_paths(args) -> int:
     except (ParseError, ValueError) as exc:
         return _fail(command, exc, EXIT_PARSE)
     try:
-        graph, _ = graph_of_term(term)
+        graph = graph_of_term(term)
     except RepeatedVariableError as exc:
         return _fail(command, exc, EXIT_VALIDATION)
     try:

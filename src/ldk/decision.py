@@ -301,9 +301,9 @@ def build_problem(ident: Identity, modulus: int, b: int = 1) -> PbgProblem:
     control graph from the right term, edges matched by variable index."""
     if not is_one_balanced(ident):
         raise ValueError("build_problem needs a 1-balanced identity")
-    flow, _ = graph_of_term(ident.lhs)
-    control, _ = graph_of_term(ident.rhs)
-    return PbgProblem(flow=flow, control=control, group=GroupSpec(modulus), b=b)
+    return PbgProblem(flow=graph_of_term(ident.lhs),
+                      control=graph_of_term(ident.rhs),
+                      group=GroupSpec(modulus), b=b)
 
 
 def check_identity(ident: Identity, modulus: int, b: int = 1,
@@ -346,16 +346,12 @@ class SelfDualityReport:
         }
 
 
-def check_self_duality(ident: Identity, modulus: int, b: int = 1,
-                       mode: str = "facet_reduced",
-                       path_limit: Optional[int] = None) -> SelfDualityReport:
+def check_self_duality(ident: Identity, modulus: int, b: int = 1) -> SelfDualityReport:
     """Check the identity, its dual, and the dual problem; all four
     verdicts must agree, otherwise the implementation is broken."""
-    primal = check_identity(ident, modulus, b, mode=mode, path_limit=path_limit)
-    dual = check_identity(dual_identity(ident), modulus, b, mode=mode,
-                          path_limit=path_limit)
-    dual_report = solve_problem(dual_problem(primal.problem), mode=mode,
-                                path_limit=path_limit)
+    primal = check_identity(ident, modulus, b)
+    dual = check_identity(dual_identity(ident), modulus, b)
+    dual_report = solve_problem(dual_problem(primal.problem))
     report = SelfDualityReport(primal, dual, dual_report)
     if len(set(report.flags.values())) != 1:
         raise DualityError(f"self-duality verdicts disagree: {report.flags}")

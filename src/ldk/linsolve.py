@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pbg import GroupSpec, PbgProblem, transp_content
-from .planegraph import first_path, maximal_paths, sorted_vertices
+from .planegraph import facet_sides, first_path, maximal_paths, sorted_vertices
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
@@ -39,11 +39,6 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n))
-                         for i in range(n)))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -136,6 +131,8 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
                 continue
             # cross is clear; force the pivot to divide the rest of the block
             d = A[t][t]
+            if d == 1:  # a unit divides every entry
+                break
             offender = next(((i, j)
                              for i in range(t + 1, nrows)
                              for j in range(t + 1, ncols)
@@ -259,17 +256,11 @@ def _facet_blocks(problem: PbgProblem, transp: Dict[object, int]):
     with the transport targets, then each inner control facet with its
     left boundary counted +1 and its right boundary -1."""
     control = problem.control
-    sides: Dict[object, List[Tuple[int, int]]] = {
-        facet: [] for facet in control.inner_facets}
-    for idx in problem.edge_indices:
-        edge = control.edges[idx]
-        if edge.right in sides:
-            sides[edge.right].append((idx, 1))
-        if edge.left in sides:
-            sides[edge.left].append((idx, -1))
+    sides = facet_sides(control)
     yield [(idx, 1) for idx in first_path(control)], transp
-    for signed in sides.values():
-        yield signed, {}
+    for facet in control.inner_facets:
+        left, right = sides[facet]
+        yield [(idx, 1) for idx in left] + [(idx, -1) for idx in right], {}
 
 
 def assemble_system(problem: PbgProblem, mode: str = "full",

@@ -21,7 +21,6 @@ from .planegraph import (
     graph_from_json,
     graph_to_json,
     maximal_paths,
-    require_valid,
     transpose_graph,
 )
 
@@ -158,7 +157,9 @@ def set_effect(g: PlaneGraph, a: Capacities, X: Iterable[int],
 @dataclass
 class PbgProblem:
     """Flow graph, control graph, group, and target; edges correspond by
-    shared index."""
+    shared index.  Both graphs must be valid; this is not checked here.
+    Graphs from files are validated when loaded; compiled graphs, their
+    duals and their transposes are valid by construction."""
 
     flow: PlaneGraph
     control: PlaneGraph
@@ -166,8 +167,6 @@ class PbgProblem:
     b: int
 
     def __post_init__(self):
-        require_valid(self.flow)
-        require_valid(self.control)
         if self.flow.edge_indices != self.control.edge_indices:
             raise ValueError("flow and control graphs must share one edge index set")
 

@@ -11,6 +11,10 @@ and a right path sharing both endpoints).
 Edge indices are arbitrary distinct positive integers in memory.  Graphs
 compiled from terms index each edge by its variable, and the JSON file
 format requires indices exactly 1..n.
+
+Validity has one owner per way a graph comes about: :func:`graph_from_json`
+validates what it loads, and compiled graphs, their duals and their
+transposes are valid by construction, so nothing validates them again.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .terms import Join, Meet, Term, Variable, is_repetition_free
 
@@ -84,20 +88,6 @@ class PlaneGraph:
         return tuple(sorted(inner, key=_sort_key))
 
 
-@dataclass(frozen=True)
-class EdgeIndexMap:
-    """Bijection variable index <-> edge index; the identity for compiled
-    graphs, where the edge of variable ``x_i`` is indexed ``i``."""
-
-    var_to_edge: Dict[int, int]
-    edge_to_var: Dict[int, int]
-
-    @classmethod
-    def identity(cls, indices: Iterable[int]) -> "EdgeIndexMap":
-        mapping = {i: i for i in indices}
-        return cls(dict(mapping), dict(mapping))
-
-
 def _sort_key(value):
     # total order over mixed int/str ids
     if isinstance(value, int) and not isinstance(value, bool):
@@ -112,13 +102,15 @@ def sorted_vertices(g: PlaneGraph) -> List[VertexId]:
 # ---------------------------------------------------------------------------
 # validation
 
-def _single_path(items: List[Tuple[int, Edge]]) -> Optional[Tuple[VertexId, VertexId]]:
-    """Endpoints if the edges form one directed path, else None."""
-    if not items:
+def _single_path(g: PlaneGraph, indices: List[int]) -> Optional[Tuple[VertexId, VertexId]]:
+    """Endpoints if the edges ``indices`` of ``g`` form one directed path,
+    else None."""
+    if not indices:
         return None
     by_tail: Dict[VertexId, int] = {}
     heads: Set[VertexId] = set()
-    for idx, edge in items:
+    for idx in indices:
+        edge = g.edges[idx]
         if edge.tail in by_tail:
             return None
         by_tail[edge.tail] = idx
@@ -129,14 +121,13 @@ def _single_path(items: List[Tuple[int, Edge]]) -> Optional[Tuple[VertexId, Vert
     ends = [h for h in heads if h not in by_tail]
     if len(starts) != 1 or len(ends) != 1:
         return None
-    edges = dict(items)
     current = starts[0]
     used = 0
     while current in by_tail:
         idx = by_tail.pop(current)
-        current = edges[idx].head
+        current = g.edges[idx].head
         used += 1
-    if used != len(items) or current != ends[0]:
+    if used != len(indices) or current != ends[0]:
         return None
     return starts[0], current
 
@@ -177,6 +168,19 @@ def _is_connected(g: PlaneGraph) -> bool:
     return len(seen) == len(g.vertices)
 
 
+def facet_sides(g: PlaneGraph) -> Dict[FacetId, Tuple[List[int], List[int]]]:
+    """Per facet, its left boundary (the edges with the facet on their
+    right) and its right boundary (the edges with it on their left), each
+    in ascending edge index order.  Every facet label of an edge must be
+    in ``g.facets``."""
+    sides: Dict[FacetId, Tuple[List[int], List[int]]] = {f: ([], []) for f in g.facets}
+    for idx in sorted(g.edges):
+        edge = g.edges[idx]
+        sides[edge.right][0].append(idx)
+        sides[edge.left][1].append(idx)
+    return sides
+
+
 def validate(g: PlaneGraph) -> List[str]:
     """All violations of the plane-graph invariants (empty when valid)."""
     bad: List[str] = []
@@ -214,9 +218,10 @@ def validate(g: PlaneGraph) -> List[str]:
     used_vertices = {e.tail for e in g.edges.values()} | {e.head for e in g.edges.values()}
     for v in sorted(g.vertices - used_vertices, key=_sort_key):
         bad.append(f"vertex {v!r} is not incident to any edge")
-    used_facets = {e.left for e in g.edges.values()} | {e.right for e in g.edges.values()}
-    for f in sorted(g.facets - used_facets, key=_sort_key):
-        bad.append(f"facet {f!r} does not border any edge")
+    sides = facet_sides(g)
+    for f in sorted(g.facets, key=_sort_key):
+        if sides[f] == ([], []):
+            bad.append(f"facet {f!r} does not border any edge")
 
     if not _is_acyclic(g):
         bad.append("graph contains a directed cycle")
@@ -237,25 +242,20 @@ def validate(g: PlaneGraph) -> List[str]:
     if euler != 3:
         bad.append(f"Euler count V - E + F = {euler}, expected 3")
 
-    # outer facets: one boundary path each, on the correct side
-    for name, outer, side in (("outer_left", g.outer_left, "left"),
-                              ("outer_right", g.outer_right, "right")):
-        boundary = [(i, e) for i, e in sorted(g.edges.items())
-                    if getattr(e, side) == outer]
-        other = "right" if side == "left" else "left"
-        for i, e in sorted(g.edges.items()):
-            if getattr(e, other) == outer:
-                bad.append(f"edge {i} has the {name} facet on its {other} side")
-        endpoints = _single_path(boundary)
-        if endpoints != (g.source, g.sink):
+    # outer facets: one boundary path each, the outer-left facet on the
+    # left of its edges and the outer-right facet on their right
+    left_wrong, left_path = sides[g.outer_left]
+    right_path, right_wrong = sides[g.outer_right]
+    for name, path, wrong, other in (("outer_left", left_path, left_wrong, "right"),
+                                     ("outer_right", right_path, right_wrong, "left")):
+        for i in wrong:
+            bad.append(f"edge {i} has the {name} facet on its {other} side")
+        if _single_path(g, path) != (g.source, g.sink):
             bad.append(f"{name} boundary is not a single source-to-sink path")
 
     # inner facets: left and right boundary paths sharing both endpoints
     for facet in g.inner_facets:
-        left_half = [(i, e) for i, e in sorted(g.edges.items()) if e.right == facet]
-        right_half = [(i, e) for i, e in sorted(g.edges.items()) if e.left == facet]
-        left_ends = _single_path(left_half)
-        right_ends = _single_path(right_half)
+        left_ends, right_ends = (_single_path(g, half) for half in sides[facet])
         if left_ends is None or right_ends is None:
             bad.append(f"facet {facet!r} boundary halves are not directed paths")
         elif left_ends != right_ends:
@@ -263,23 +263,17 @@ def validate(g: PlaneGraph) -> List[str]:
     return bad
 
 
-def require_valid(g: PlaneGraph) -> None:
-    violations = validate(g)
-    if violations:
-        raise GraphValidationError(violations)
-
-
 # ---------------------------------------------------------------------------
 # compilation from terms
 
-def graph_of_term(term: Term) -> Tuple[PlaneGraph, EdgeIndexMap]:
+def graph_of_term(term: Term) -> PlaneGraph:
     """Compile a repetition-free term into its plane graph.
 
     A variable ``x_i`` becomes a single edge indexed ``i``.  A join stacks
     the second operand atop the first (series composition, outer facets
     merged pairwise); a meet puts the first operand to the left of the
     second (parallel composition, the adjacent outer facets merging into
-    one inner facet).
+    one inner facet).  The result is valid by construction.
     """
     if not is_repetition_free(term):
         raise RepeatedVariableError(
@@ -348,7 +342,7 @@ def graph_of_term(term: Term) -> Tuple[PlaneGraph, EdgeIndexMap]:
             left=canon(fmap, fparent, l),
             right=canon(fmap, fparent, r),
         )
-    graph = PlaneGraph(
+    return PlaneGraph(
         vertices=frozenset(vmap.values()),
         edges=edges,
         facets=frozenset(fmap.values()),
@@ -357,7 +351,6 @@ def graph_of_term(term: Term) -> Tuple[PlaneGraph, EdgeIndexMap]:
         outer_left=canon(fmap, fparent, oleft),
         outer_right=canon(fmap, fparent, oright),
     )
-    return graph, EdgeIndexMap.identity(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +361,9 @@ def dual_graph(g: PlaneGraph) -> PlaneGraph:
     edge runs from its left facet to its right facet (left-hand rule).
 
     Facet labels of the dual are chosen so that taking the dual twice
-    yields exactly the transpose of ``g``.
+    yields exactly the transpose of ``g``.  ``g`` must be valid, and then
+    so is its dual; this is not checked here.
     """
-    require_valid(g)
     edges = {
         idx: Edge(tail=e.left, head=e.right, left=e.head, right=e.tail)
         for idx, e in g.edges.items()
@@ -511,7 +504,9 @@ def _check_id(value, what: str):
 def graph_from_json(obj: dict) -> PlaneGraph:
     """Load the JSON graph format; edge ids must be exactly 1..n.
 
-    The result is not validated; run :func:`validate` on it before use.
+    This is where graphs from outside enter, so the result is validated
+    here: a well-formed but invalid graph raises
+    :class:`GraphValidationError` with the violations of :func:`validate`.
     """
     if not isinstance(obj, dict):
         raise GraphFormatError("graph object must be a JSON object")
@@ -544,7 +539,7 @@ def graph_from_json(obj: dict) -> PlaneGraph:
     if sorted(edges) != list(range(1, len(edges) + 1)):
         raise GraphFormatError("edge ids must be exactly 1..n")
     facets.update((obj["outer_left"], obj["outer_right"]))
-    return PlaneGraph(
+    graph = PlaneGraph(
         vertices=vertices,
         edges=edges,
         facets=frozenset(facets),
@@ -553,3 +548,7 @@ def graph_from_json(obj: dict) -> PlaneGraph:
         outer_left=_check_id(obj["outer_left"], "outer_left"),
         outer_right=_check_id(obj["outer_right"], "outer_right"),
     )
+    violations = validate(graph)
+    if violations:
+        raise GraphValidationError(violations)
+    return graph

@@ -26,6 +26,19 @@ def three_edge_fragment() -> PlaneGraph:
     )
 
 
+def two_parallel_edges_json() -> dict:
+    """A well-formed graph file that is not a valid plane graph: two
+    parallel edges with the same two facets, so V - E + F = 2."""
+    return {
+        "vertices": [1, 2],
+        "edges": [
+            {"id": 1, "tail": 1, "head": 2, "left": "L", "right": "R"},
+            {"id": 2, "tail": 1, "head": 2, "left": "L", "right": "R"},
+        ],
+        "source": 1, "sink": 2, "outer_left": "L", "outer_right": "R",
+    }
+
+
 def random_tree(rng: random.Random, labels):
     """Random binary tree whose leaves are ``labels`` in order."""
     if len(labels) == 1:

@@ -104,8 +104,8 @@ def test_criterion_2_transpose(balanced_corpus):
 def test_criterion_3_construction_duality(term_corpus):
     started = time.monotonic()
     for term in term_corpus:
-        g, _ = graph_of_term(term)
-        g_dual_term, _ = graph_of_term(dual_term(term))
+        g = graph_of_term(term)
+        g_dual_term = graph_of_term(dual_term(term))
         assert iso_check(dual_graph(g), g_dual_term)
         assert iso_check(dual_graph(dual_graph(g)), transpose_graph(g))
         for h in (g, dual_graph(g), transpose_graph(g), g_dual_term):
@@ -155,7 +155,7 @@ def test_criterion_6_membership_oracle():
     agreements = 0
     for _ in range(120):
         term = random_repetition_free_term(rng, rng.randint(1, 4))
-        g, _ = graph_of_term(term)
+        g = graph_of_term(term)
         spans = {idx: lattice.element_sets[rng.randrange(len(lattice))]
                  for idx in g.edge_indices}
         u = rng.choice(vectors)

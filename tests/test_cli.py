@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ldk
+from conftest import two_parallel_edges_json
 from ldk.cli import main
 from ldk.decision import build_problem
 from ldk.pbg import problem_to_json
@@ -14,6 +15,7 @@ from ldk.terms import parse_identity
 
 R1_TEXT = (r"(((x3 \/ (x3 /\ (x1 \/ x1))) \/ (x2 \/ x4)) /\ x1)"
            r" <= (x1 /\ x1)")
+MODULAR_TEXT = r"x1 /\ (x2 \/ (x1 /\ x3)) <= (x1 /\ x2) \/ (x1 /\ x3)"
 R_TEXT = r"(x1 \/ (x2 /\ (x3 \/ x4)) \/ x5) /\ (((x6 \/ x7) /\ (x8 \/ x9)) \/ x10)"
 
 
@@ -133,8 +135,7 @@ def test_importing_the_cli_loads_no_numpy():
 
 def test_check_modular_self_dual(capsys):
     code, report, _ = run(capsys, [
-        "check", r"x1 /\ (x2 \/ (x1 /\ x3)) <= (x1 /\ x2) \/ (x1 /\ x3)",
-        "--mod", "0,2,3", "--self-dual"])
+        "check", MODULAR_TEXT, "--mod", "0,2,3", "--self-dual"])
     assert code == 0
     assert [entry["modulus"] for entry in report["outputs"]] == [0, 2, 3]
     for entry in report["outputs"]:
@@ -228,19 +229,24 @@ def test_solve_rejects_bad_json(capsys, tmp_path):
 
 
 def test_solve_rejects_invalid_graph(capsys, tmp_path):
-    graph = {
-        "vertices": [1, 2],
-        "edges": [
-            {"id": 1, "tail": 1, "head": 2, "left": "L", "right": "R"},
-            {"id": 2, "tail": 1, "head": 2, "left": "L", "right": "R"},
-        ],
-        "source": 1, "sink": 2, "outer_left": "L", "outer_right": "R",
-    }
+    graph = two_parallel_edges_json()
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"flow": graph, "control": graph,
                                 "modulus": 2, "b": 1}))
     code, report, _ = run(capsys, ["solve", "--problem", str(path)])
     assert code == 3 and report["status"] == "error"
+    assert report["error"]["violations"]
+
+
+def test_compiled_graphs_are_not_validated_again(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compiled graph was validated")
+
+    monkeypatch.setattr("ldk.planegraph.validate", refuse)
+    code, _, _ = run(capsys, ["check", MODULAR_TEXT, "--mod", "0,2", "--self-dual"])
+    assert code == 0
+    code, _, _ = run(capsys, ["graph", R_TEXT, "--dual"])
+    assert code == 0
 
 
 def test_solve_enumeration_cap(capsys, tmp_path):

@@ -156,13 +156,13 @@ def test_oracle_var_cap():
 # membership through systems of contents
 
 def test_membership_forced_witness():
-    g, _ = graph_of_term(parse_term(r"x1 \/ x2"))
+    g = graph_of_term(parse_term(r"x1 \/ x2"))
     subs = {1: ((1, 0),), 2: ((0, 1),)}
     assert membership_via_contents(g, 2, 2, subs, (0, 0), (1, 1))
 
 
 def test_membership_failure_with_zero_second_block():
-    g, _ = graph_of_term(parse_term(r"x1 \/ x2"))
+    g = graph_of_term(parse_term(r"x1 \/ x2"))
     subs = {1: ((1, 0),), 2: ()}
     assert not membership_via_contents(g, 2, 2, subs, (0, 0), (1, 1))
 
@@ -173,7 +173,7 @@ def test_membership_matches_direct_evaluation():
     vectors = list(itertools.product(range(2), repeat=2))
     for _ in range(60):
         term = random_repetition_free_term(rng, rng.randint(1, 4))
-        g, _ = graph_of_term(term)
+        g = graph_of_term(term)
         spans = {idx: lat.element_sets[rng.randrange(len(lat))]
                  for idx in g.edge_indices}
         u = rng.choice(vectors)
@@ -185,7 +185,7 @@ def test_membership_matches_direct_evaluation():
 
 
 def test_membership_caps():
-    g, _ = graph_of_term(parse_term(r"x1 \/ x2 \/ x3 \/ x4 \/ x5"))
+    g = graph_of_term(parse_term(r"x1 \/ x2 \/ x3 \/ x4 \/ x5"))
     with pytest.raises(OracleCapError):
         membership_via_contents(g, 2, 2, {i: () for i in range(1, 6)},
                                 (0, 0), (0, 0))

@@ -16,6 +16,7 @@ from ldk.linsolve import (
     solve_problem,
 )
 from ldk.pbg import GroupSpec, dual_problem, is_solution, transpose_problem
+from ldk.planegraph import validate
 from ldk.terms import parse_identity
 
 MEET_JOIN = parse_identity(r"x1 /\ x2 <= x1 \/ x2")[0]
@@ -93,8 +94,8 @@ def test_snf_of_zero_matrix():
     M = IntMatrix.from_rows([[0, 0], [0, 0], [0, 0]])
     U, D, V = smith_normal_form(M)
     assert D.rows == M.rows
-    assert U.rows == IntMatrix.identity(3).rows
-    assert V.rows == IntMatrix.identity(2).rows
+    assert U.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert V.rows == ((1, 0), (0, 1))
 
 
 def test_snf_random_sign_matrices():
@@ -214,6 +215,8 @@ def test_facet_reduced_matches_full(balanced_corpus):
             primal = build_problem(ident, m, 1)
             for problem in (primal, dual_problem(primal),
                             transpose_problem(primal)):
+                # valid by construction, so nothing validates them at run time
+                assert validate(problem.flow) == validate(problem.control) == []
                 full = solve_problem(problem, mode="full")
                 reduced = solve_problem(problem, mode="facet_reduced")
                 assert full.solvable == reduced.solvable

@@ -28,7 +28,7 @@ from ldk.terms import Variable, parse_identity, parse_term
 
 
 def graph_of(text):
-    return graph_of_term(parse_term(text))[0]
+    return graph_of_term(parse_term(text))
 
 
 MEET_JOIN = parse_identity(r"x1 /\ x2 <= x1 \/ x2")[0]
@@ -44,7 +44,7 @@ def test_group_spec():
 
 
 def test_transp_content_single_edge():
-    g, _ = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     system = transp_content(g, INTEGERS, 1)
     assert system.values == {g.source: -1, g.sink: 1}
 
@@ -55,7 +55,7 @@ def test_transp_content_zero_target():
 
 
 def test_transp_content_reduces_mod_m():
-    g, _ = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     system = transp_content(g, GroupSpec(5), 3)
     assert system.values == {g.source: 2, g.sink: 3}
 
@@ -68,7 +68,7 @@ def test_terminal_is_initial_plus_transporting():
 
 
 def test_edge_effect_single_edge():
-    g, _ = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     eff = edge_effect(g, (7,), 1)
     assert eff.values == {g.source: -7, g.sink: 7}
     assert edge_effect(g, (0,), 1) == ContentSystem.zero(g)
@@ -82,7 +82,7 @@ def test_edge_effect_on_chain():
 
 
 def test_edge_effect_index_out_of_range():
-    g, _ = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     with pytest.raises(IndexError):
         edge_effect(g, (1,), 2)
 
@@ -104,7 +104,7 @@ def test_set_effect_empty_set():
 def test_set_effect_vertex_sum_is_zero():
     rng = random.Random(15)
     for _ in range(25):
-        g, _ = graph_of_term(random_repetition_free_term(rng, rng.randint(1, 8)))
+        g = graph_of_term(random_repetition_free_term(rng, rng.randint(1, 8)))
         a = [rng.randint(-9, 9) for _ in range(g.n)]
         subset = {j for j in g.edge_indices if rng.random() < 0.6}
         group = GroupSpec(rng.choice((0, 2, 3, 6)))
@@ -112,7 +112,7 @@ def test_set_effect_vertex_sum_is_zero():
 
 
 def test_content_system_domain_mismatch():
-    g1, _ = graph_of_term(Variable(1))
+    g1 = graph_of_term(Variable(1))
     g2 = graph_of(r"x1 \/ x2")
     with pytest.raises(ValueError):
         ContentSystem.zero(g1) + ContentSystem.zero(g2)
@@ -178,7 +178,7 @@ def test_problem_json_rejects_bad_objects():
 
 
 def test_problem_requires_matching_indices():
-    g1, _ = graph_of_term(Variable(1))
+    g1 = graph_of_term(Variable(1))
     g2 = graph_of(r"x2 \/ x3")
     with pytest.raises(ValueError):
         PbgProblem(flow=g1, control=g2, group=INTEGERS, b=1)

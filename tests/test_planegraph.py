@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import random_repetition_free_term
+from conftest import random_repetition_free_term, two_parallel_edges_json
 from ldk.planegraph import (
     Edge,
     GraphFormatError,
+    GraphValidationError,
     PathLimitExceededError,
     PlaneGraph,
     RepeatedVariableError,
@@ -26,7 +27,7 @@ R_TEXT = r"(x1 \/ (x2 /\ (x3 \/ x4)) \/ x5) /\ (((x6 \/ x7) /\ (x8 \/ x9)) \/ x1
 
 
 def graph_of(text):
-    return graph_of_term(parse_term(text))[0]
+    return graph_of_term(parse_term(text))
 
 
 def euler(g):
@@ -34,13 +35,12 @@ def euler(g):
 
 
 def test_single_variable_graph():
-    g, index_map = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     assert len(g.vertices) == 2 and g.n == 1 and len(g.facets) == 2
     edge = g.edges[1]
     assert edge.tail == g.source and edge.head == g.sink
     assert {edge.left, edge.right} == {g.outer_left, g.outer_right}
     assert validate(g) == []
-    assert index_map.var_to_edge == {1: 1}
 
 
 def test_join_graph_is_a_chain():
@@ -73,7 +73,7 @@ def test_graph_of_term_rejects_repetitions():
 
 
 def test_dual_of_single_edge():
-    g, _ = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     d = dual_graph(g)
     assert d.source == g.outer_left and d.sink == g.outer_right
     assert d.edges[1] == Edge(tail=g.outer_left, head=g.outer_right,
@@ -93,7 +93,7 @@ def test_double_dual_is_transpose():
 
 
 def test_transpose_basics():
-    g, _ = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     t = transpose_graph(g)
     assert t.edges[1].tail == g.sink and t.edges[1].head == g.source
     assert transpose_graph(t) == g
@@ -136,7 +136,7 @@ def test_validate_flags_two_cycle():
 
 
 def test_validate_flags_euler_breakage():
-    g, _ = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     broken = PlaneGraph(
         vertices=g.vertices,
         edges=g.edges,
@@ -156,7 +156,7 @@ def test_iso_check_distinguishes_shapes():
 
 
 def test_dot_export_single_edge_and_chain():
-    g, _ = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     out = dot_export(g)
     assert 'label="1"' in out and out.count("->") == 1
     chain = dot_export(graph_of(r"x1 \/ x2"))
@@ -175,11 +175,24 @@ def test_graph_json_round_trip():
 
 
 def test_graph_json_rejects_bad_edge_ids():
-    g, _ = graph_of_term(Variable(1))
+    g = graph_of_term(Variable(1))
     obj = graph_to_json(g)
     obj["edges"][0]["id"] = 2
     with pytest.raises(GraphFormatError):
         graph_from_json(obj)
+
+
+def test_graph_json_rejects_invalid_graph():
+    obj = two_parallel_edges_json()
+    with pytest.raises(GraphValidationError) as info:
+        graph_from_json(obj)
+    direct = PlaneGraph(
+        vertices=frozenset((1, 2)),
+        edges={1: Edge(1, 2, "L", "R"), 2: Edge(1, 2, "L", "R")},
+        facets=frozenset(("L", "R")),
+        source=1, sink=2, outer_left="L", outer_right="R",
+    )
+    assert info.value.violations == validate(direct) != []
 
 
 def test_graph_json_rejects_missing_keys():
@@ -189,9 +202,9 @@ def test_graph_json_rejects_missing_keys():
 
 def test_construction_duality_random(term_corpus):
     for t in term_corpus[:60]:
-        g, _ = graph_of_term(t)
+        g = graph_of_term(t)
         assert validate(g) == []
-        dual_of_term, _ = graph_of_term(dual_term(t))
+        dual_of_term = graph_of_term(dual_term(t))
         assert iso_check(dual_graph(g), dual_of_term)
         assert dual_graph(dual_graph(g)) == transpose_graph(g)
         for h in (g, dual_graph(g), transpose_graph(g)):
@@ -201,7 +214,7 @@ def test_construction_duality_random(term_corpus):
 def test_paths_run_source_to_sink_random():
     rng = random.Random(44)
     for _ in range(25):
-        g, _ = graph_of_term(random_repetition_free_term(rng, rng.randint(1, 9)))
+        g = graph_of_term(random_repetition_free_term(rng, rng.randint(1, 9)))
         for path in maximal_paths(g):
             assert g.edges[path[0]].tail == g.source
             assert g.edges[path[-1]].head == g.sink
