@@ -14,12 +14,18 @@ Every step is deterministic (smallest variable index first, occurrences
 numbered left to right, fresh indices smallest-unused in row-major order,
 inserted chains right-associated), so identical input yields an identical
 output and trace.
+
+:func:`one_balance` plans every split from one occurrence profile and
+rewrites each side in one walk; a split variable's index is free for the
+fresh indices of later splits.  :func:`replay` applies a trace step by
+step and is the reference that plan is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 from .terms import (
     Identity,
@@ -74,26 +80,34 @@ def _join_chain(indices: Sequence[int]) -> Term:
     return node
 
 
-def _replace_occurrences(t: Term, variable: int, builders: Sequence[Term]) -> Term:
-    """Replace the k-th leaf occurrence of ``variable`` by ``builders[k]``."""
-    seen = 0
+def _replace_occurrences(t: Term, builders: Mapping[int, Sequence[Term]]) -> Term:
+    """Replace the k-th leaf occurrence of each variable ``x`` in
+    ``builders`` by ``builders[x][k]``, in one walk over ``t``."""
+    seen = dict.fromkeys(builders, 0)
 
     def walk(node: Term) -> Term:
-        nonlocal seen
         if isinstance(node, Variable):
-            if node.index == variable:
-                replacement = builders[seen]
-                seen += 1
-                return replacement
-            return node
+            k = seen.get(node.index)
+            if k is None:
+                return node
+            seen[node.index] = k + 1
+            return builders[node.index][k]
         ctor = Join if isinstance(node, Join) else Meet
         return ctor(walk(node.left), walk(node.right))
 
     result = walk(t)
-    if seen != len(builders):
-        raise ValueError(
-            f"expected {len(builders)} occurrences of x{variable}, found {seen}")
+    for variable, count in seen.items():
+        if count != len(builders[variable]):
+            raise ValueError(f"expected {len(builders[variable])} occurrences"
+                             f" of x{variable}, found {count}")
     return result
+
+
+def _split_builders(step: MatrixSplitStep) -> Tuple[List[Term], List[Term]]:
+    """The replacements of the left occurrences (row meets) and of the
+    right occurrences (column joins) of ``step.variable``."""
+    return ([_meet_chain(row) for row in step.fresh],
+            [_join_chain(column) for column in zip(*step.fresh)])
 
 
 def _apply_step(ident: Identity, step: Step) -> Identity:
@@ -104,13 +118,10 @@ def _apply_step(ident: Identity, step: Step) -> Identity:
         if step.side == "lhs":
             return Identity(Meet(ident.lhs, Join(ident.lhs, x)), ident.rhs)
         raise ValueError(f"unknown absorb side {step.side!r}")
-    rows = step.fresh
-    lhs_builders = [_meet_chain(rows[i]) for i in range(step.u)]
-    rhs_builders = [_join_chain([rows[i][j] for i in range(step.u)])
-                    for j in range(step.v)]
+    lhs_builders, rhs_builders = _split_builders(step)
     return Identity(
-        _replace_occurrences(ident.lhs, step.variable, lhs_builders),
-        _replace_occurrences(ident.rhs, step.variable, rhs_builders),
+        _replace_occurrences(ident.lhs, {step.variable: lhs_builders}),
+        _replace_occurrences(ident.rhs, {step.variable: rhs_builders}),
     )
 
 
@@ -129,10 +140,9 @@ def absorb_missing(ident: Identity) -> Tuple[Identity, BalanceTrace]:
     order.  Already-equal variable sets come back unchanged with an empty
     trace.
     """
-    left_only = sorted(variables(ident.lhs) - variables(ident.rhs))
-    right_only = sorted(variables(ident.rhs) - variables(ident.lhs))
-    steps: List[Step] = [AbsorbStep(i, "rhs") for i in left_only]
-    steps += [AbsorbStep(i, "lhs") for i in right_only]
+    left, right = variables(ident.lhs), variables(ident.rhs)
+    steps: List[Step] = [AbsorbStep(i, "rhs") for i in sorted(left - right)]
+    steps += [AbsorbStep(i, "lhs") for i in sorted(right - left)]
     out = ident
     for step in steps:
         out = _apply_step(out, step)
@@ -140,35 +150,38 @@ def absorb_missing(ident: Identity) -> Tuple[Identity, BalanceTrace]:
 
 
 def _fresh_indices(used: set, count: int) -> List[int]:
-    out: List[int] = []
-    candidate = 1
-    while len(out) < count:
-        if candidate not in used:
-            out.append(candidate)
-        candidate += 1
-    return out
+    """The ``count`` smallest positive integers not in ``used``."""
+    unused = itertools.filterfalse(used.__contains__, itertools.count(1))
+    return list(itertools.islice(unused, count))
 
 
 def one_balance(ident: Identity) -> Tuple[Identity, BalanceTrace]:
     """Produce an equivalent 1-balanced identity and the rewrite trace.
 
-    Applies absorb_missing first; then repeatedly splits the
-    smallest-index unbalanced variable.  Terminates because every split
-    lowers the number of unbalanced variables by one.
+    Applies absorb_missing first, then splits every unbalanced variable
+    in ascending index order.  A split leaves the counts of every other
+    variable as they were, so all splits are planned from the occurrence
+    profile of the absorbed identity.  Each split takes the smallest
+    indices unused at that point, and the split variable's own index is
+    free for later splits.  Each side is then rewritten in one walk.
     """
     out, trace = absorb_missing(ident)
-    steps = list(trace.steps)
-    while True:
-        profile = occurrences(out).counts
-        unbalanced = sorted(i for i, uv in profile.items() if uv != (1, 1))
-        if not unbalanced:
-            break
-        target = unbalanced[0]
-        u, v = profile[target]
-        used = variables(out.lhs) | variables(out.rhs)
+    profile = occurrences(out).counts
+    used = set(profile)
+    splits: List[MatrixSplitStep] = []
+    for variable in sorted(profile):
+        u, v = profile[variable]
+        if (u, v) == (1, 1):
+            continue
         flat = _fresh_indices(used, u * v)
-        rows = tuple(tuple(flat[i * v + j] for j in range(v)) for i in range(u))
-        step = MatrixSplitStep(target, u, v, rows)
-        out = _apply_step(out, step)
-        steps.append(step)
-    return out, BalanceTrace(tuple(steps))
+        used.discard(variable)
+        used.update(flat)
+        rows = tuple(tuple(flat[i * v:(i + 1) * v]) for i in range(u))
+        splits.append(MatrixSplitStep(variable, u, v, rows))
+    lhs_builders, rhs_builders = {}, {}
+    for step in splits:
+        lhs_builders[step.variable], rhs_builders[step.variable] = _split_builders(step)
+    if splits:
+        out = Identity(_replace_occurrences(out.lhs, lhs_builders),
+                       _replace_occurrences(out.rhs, rhs_builders))
+    return out, BalanceTrace(trace.steps + tuple(splits))

@@ -18,12 +18,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+                    Sequence, Tuple)
 
 from .balance import BalanceTrace, one_balance
 from .linsolve import SolutionReport, solve_problem
 from .pbg import GroupSpec, PbgProblem, dual_problem
-from .planegraph import PlaneGraph, graph_of_term, sorted_vertices
+from .planegraph import DEFAULT_PATH_LIMIT, PlaneGraph, graph_of_term, sorted_vertices
 from .terms import (
     Identity,
     Join,
@@ -308,7 +308,7 @@ def build_problem(ident: Identity, modulus: int, b: int = 1) -> PbgProblem:
 
 def check_identity(ident: Identity, modulus: int, b: int = 1,
                    mode: str = "facet_reduced",
-                   path_limit: Optional[int] = None) -> Verdict:
+                   path_limit: int = DEFAULT_PATH_LIMIT) -> Verdict:
     """Does ``ident`` hold in the submodule lattices of all Z_m-modules?
 
     Pipeline: balance, compile both sides to graphs, solve the resulting

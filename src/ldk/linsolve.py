@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pbg import GroupSpec, PbgProblem, transp_content
-from .planegraph import facet_sides, first_path, maximal_paths, sorted_vertices
+from .planegraph import (DEFAULT_PATH_LIMIT, facet_sides, first_path, maximal_paths,
+                         sorted_vertices)
 
 DEFAULT_ENUM_CAP = 10 ** 6
 
@@ -264,7 +265,7 @@ def _facet_blocks(problem: PbgProblem, transp: Dict[object, int]):
 
 
 def assemble_system(problem: PbgProblem, mode: str = "full",
-                    path_limit: Optional[int] = None) -> Tuple[IntMatrix, Tuple[int, ...]]:
+                    path_limit: int = DEFAULT_PATH_LIMIT) -> Tuple[IntMatrix, Tuple[int, ...]]:
     """Turn the path constraints into an integer system M a = rhs.
 
     ``full``: one row per (maximal control path, flow vertex), duplicates
@@ -294,8 +295,7 @@ def assemble_system(problem: PbgProblem, mode: str = "full",
             rhs.append(target)
 
     if mode == "full":
-        kwargs = {} if path_limit is None else {"limit": path_limit}
-        for path in maximal_paths(problem.control, **kwargs):
+        for path in maximal_paths(problem.control, limit=path_limit):
             for v in verts:
                 row = [0] * n
                 table = coeff[v]
@@ -327,13 +327,13 @@ def assemble_system(problem: PbgProblem, mode: str = "full",
 
 
 def solve_problem(problem: PbgProblem, mode: str = "facet_reduced",
-                  path_limit: Optional[int] = None) -> SolutionReport:
+                  path_limit: int = DEFAULT_PATH_LIMIT) -> SolutionReport:
     M, rhs = assemble_system(problem, mode=mode, path_limit=path_limit)
     return solve(M, rhs, problem.group)
 
 
 def enumerate_solutions(problem: PbgProblem, cap: int = DEFAULT_ENUM_CAP,
-                        path_limit: Optional[int] = None) -> List[Tuple[int, ...]]:
+                        path_limit: int = DEFAULT_PATH_LIMIT) -> List[Tuple[int, ...]]:
     """All solution vectors over Z_m (m >= 1) by brute force, in
     lexicographic order.
 
@@ -349,8 +349,7 @@ def enumerate_solutions(problem: PbgProblem, cap: int = DEFAULT_ENUM_CAP,
     total = m ** n
     if total > cap:
         raise CapExceededError(total, cap)
-    kwargs = {} if path_limit is None else {"limit": path_limit}
-    paths = maximal_paths(problem.control, **kwargs)
+    paths = maximal_paths(problem.control, limit=path_limit)
     verts, column, coeff = _coefficient_rows(problem)
     targets = transp_content(problem.flow, problem.group, problem.b)
     target_vec = np.array([targets.values[v] for v in verts], dtype=np.int64)

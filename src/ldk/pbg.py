@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .planegraph import (
+    DEFAULT_PATH_LIMIT,
     PlaneGraph,
     dual_graph,
     graph_from_json,
@@ -45,9 +46,6 @@ class GroupSpec:
 
     def reduce(self, x: int) -> int:
         return x % self.modulus if self.modulus else x
-
-    def describe(self) -> str:
-        return "Z" if self.modulus == 0 else f"Z_{self.modulus}"
 
 
 INTEGERS = GroupSpec(0)
@@ -180,12 +178,11 @@ class PbgProblem:
 
 
 def is_solution(problem: PbgProblem, a: Capacities,
-                path_limit: Optional[int] = None) -> bool:
+                path_limit: int = DEFAULT_PATH_LIMIT) -> bool:
     """True iff every maximal control path realizes the b-transporting
     system of contents on the flow graph."""
-    kwargs = {} if path_limit is None else {"limit": path_limit}
     target = transp_content(problem.flow, problem.group, problem.b)
-    for path in maximal_paths(problem.control, **kwargs):
+    for path in maximal_paths(problem.control, limit=path_limit):
         if set_effect(problem.flow, a, path, problem.group) != target:
             return False
     return True

@@ -10,7 +10,10 @@ and a right path sharing both endpoints).
 
 Edge indices are arbitrary distinct positive integers in memory.  Graphs
 compiled from terms index each edge by its variable, and the JSON file
-format requires indices exactly 1..n.
+format requires indices exactly 1..n.  :func:`graph_of_term` builds a
+graph top-down in one pass over the term, a join splitting its region at
+a new vertex and a meet along a new inner facet, and numbers vertices
+and facets by first appearance along the edges in index order.
 
 Validity has one owner per way a graph comes about: :func:`graph_from_json`
 validates what it loads, and compiled graphs, their duals and their
@@ -19,12 +22,11 @@ transposes are valid by construction, so nothing validates them again.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .terms import Join, Meet, Term, Variable, is_repetition_free
+from .terms import Join, Term, Variable
 
 VertexId = Union[int, str]
 FacetId = Union[int, str]
@@ -270,86 +272,59 @@ def graph_of_term(term: Term) -> PlaneGraph:
     """Compile a repetition-free term into its plane graph.
 
     A variable ``x_i`` becomes a single edge indexed ``i``.  A join stacks
-    the second operand atop the first (series composition, outer facets
-    merged pairwise); a meet puts the first operand to the left of the
-    second (parallel composition, the adjacent outer facets merging into
-    one inner facet).  The result is valid by construction.
+    the second operand atop the first (series composition: one middle
+    vertex, both outer facets shared); a meet puts the first operand to
+    the left of the second (parallel composition: both endpoints shared,
+    one new inner facet between them).  The term is walked top-down with
+    an explicit stack, each node handed the tail, head, left and right
+    facet of the region it fills, so depth is not limited by recursion.
+
+    Vertices and facets are then numbered 1, 2, ... in order of first
+    appearance, reading the edges by ascending index and each edge as
+    tail, head, left, right (vertices and facets counted separately).
+    The result is valid by construction.  A variable met twice raises
+    :class:`RepeatedVariableError`.
     """
-    if not is_repetition_free(term):
-        raise RepeatedVariableError(
-            "term-to-graph compilation requires a repetition-free term")
-
-    counter = itertools.count()
-    vparent: Dict[int, int] = {}
-    fparent: Dict[int, int] = {}
-
-    def fresh(parent: Dict[int, int]) -> int:
-        label = next(counter)
-        parent[label] = label
-        return label
-
-    def find(parent: Dict[int, int], x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(parent: Dict[int, int], a: int, b: int) -> int:
-        ra, rb = find(parent, a), find(parent, b)
-        parent[rb] = ra
-        return ra
-
+    # raw labels: vertex 0 is the source and 1 the sink, facet 0 the outer
+    # left and 1 the outer right; inner labels count up from 2
     raw: Dict[int, Tuple[int, int, int, int]] = {}
-
-    def build(t: Term) -> Tuple[int, int, int, int]:
-        # returns (source, sink, outer_left, outer_right) as raw labels
+    vertices = facets = 2
+    stack: List[Tuple[Term, int, int, int, int]] = [(term, 0, 1, 0, 1)]
+    while stack:
+        t, tail, head, left, right = stack.pop()
         if isinstance(t, Variable):
-            s, k = fresh(vparent), fresh(vparent)
-            fl, fr = fresh(fparent), fresh(fparent)
-            raw[t.index] = (s, k, fl, fr)
-            return s, k, fl, fr
-        s1, k1, l1, r1 = build(t.left)
-        s2, k2, l2, r2 = build(t.right)
-        if isinstance(t, Join):
-            union(vparent, k1, s2)
-            left = union(fparent, l1, l2)
-            right = union(fparent, r1, r2)
-            return s1, k2, left, right
-        union(vparent, s1, s2)
-        union(vparent, k1, k2)
-        union(fparent, r1, l2)  # the shared outer facets become one inner facet
-        return s1, k1, l1, r2
-
-    src, snk, oleft, oright = build(term)
+            if t.index in raw:
+                raise RepeatedVariableError(
+                    "term-to-graph compilation requires a repetition-free term")
+            raw[t.index] = (tail, head, left, right)
+        elif isinstance(t, Join):
+            middle, vertices = vertices, vertices + 1
+            stack.append((t.left, tail, middle, left, right))
+            stack.append((t.right, middle, head, left, right))
+        else:
+            inner, facets = facets, facets + 1
+            stack.append((t.left, tail, head, left, inner))
+            stack.append((t.right, tail, head, inner, right))
 
     vmap: Dict[int, int] = {}
     fmap: Dict[int, int] = {}
-
-    def canon(mapping: Dict[int, int], parent: Dict[int, int], label: int) -> int:
-        root = find(parent, label)
-        if root not in mapping:
-            mapping[root] = len(mapping) + 1
-        return mapping[root]
-
     edges: Dict[int, Edge] = {}
     for idx in sorted(raw):
-        t, h, l, r = raw[idx]
+        tail, head, left, right = raw[idx]
         edges[idx] = Edge(
-            tail=canon(vmap, vparent, t),
-            head=canon(vmap, vparent, h),
-            left=canon(fmap, fparent, l),
-            right=canon(fmap, fparent, r),
+            tail=vmap.setdefault(tail, len(vmap) + 1),
+            head=vmap.setdefault(head, len(vmap) + 1),
+            left=fmap.setdefault(left, len(fmap) + 1),
+            right=fmap.setdefault(right, len(fmap) + 1),
         )
     return PlaneGraph(
         vertices=frozenset(vmap.values()),
         edges=edges,
         facets=frozenset(fmap.values()),
-        source=canon(vmap, vparent, src),
-        sink=canon(vmap, vparent, snk),
-        outer_left=canon(fmap, fparent, oleft),
-        outer_right=canon(fmap, fparent, oright),
+        source=vmap[0],
+        sink=vmap[1],
+        outer_left=fmap[0],
+        outer_right=fmap[1],
     )
 
 

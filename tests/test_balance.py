@@ -11,6 +11,8 @@ from ldk.balance import (
 from ldk.decision import oracle_holds, subspace_lattice
 from ldk.terms import (
     Identity,
+    Meet,
+    Variable,
     is_one_balanced,
     parse_identity,
     parse_term,
@@ -91,10 +93,30 @@ def test_replay_reproduces_output():
         cases.append(Identity(
             random_repeating_term(rng, rng.randint(1, 5), range(1, 4)),
             random_repeating_term(rng, rng.randint(1, 5), range(1, 4))))
-    for ident in cases:
+    # one variable on one side only: its absorption doubles the other
+    # side, and several splits follow
+    absorbed = []
+    for k in range(10):
+        only = Meet(random_repeating_term(rng, rng.randint(5, 11), range(1, 4)),
+                    Variable(4))
+        other = random_repeating_term(rng, rng.randint(6, 12), range(1, 4))
+        absorbed.append(Identity(only, other) if k % 2 else Identity(other, only))
+    for ident in cases + absorbed:
         balanced, trace = one_balance(ident)
         assert replay(ident, trace) == balanced
         assert is_one_balanced(balanced)
+    for ident in absorbed:
+        steps = one_balance(ident)[1].steps
+        assert isinstance(steps[0], AbsorbStep)
+        assert sum(isinstance(step, MatrixSplitStep) for step in steps) >= 2
+
+
+def test_split_variable_index_is_reused():
+    # x1 is gone after its split, so index 1 is the first fresh one for x2
+    ident = parse_identity(r"x1 /\ x1 /\ x2 /\ x2 <= x1 \/ x1 \/ x2 \/ x2")[0]
+    _, trace = one_balance(ident)
+    assert trace.steps == (MatrixSplitStep(1, 2, 2, ((3, 4), (5, 6))),
+                           MatrixSplitStep(2, 2, 2, ((1, 7), (8, 9))))
 
 
 def test_balancing_preserves_subspace_lattice_verdicts():

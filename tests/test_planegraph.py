@@ -21,7 +21,7 @@ from ldk.planegraph import (
     transpose_graph,
     validate,
 )
-from ldk.terms import Variable, dual_term, parse_term
+from ldk.terms import Join, Meet, Variable, dual_term, parse_term
 
 R_TEXT = r"(x1 \/ (x2 /\ (x3 \/ x4)) \/ x5) /\ (((x6 \/ x7) /\ (x8 \/ x9)) \/ x10)"
 
@@ -67,8 +67,35 @@ def test_example_term_graph_counts():
     assert validate(g) == []
 
 
+def test_graph_of_term_ids():
+    # vertices and facets numbered by first appearance along edges 1..n
+    g = graph_of(r"(x1 /\ (x2 \/ x3)) \/ (x4 /\ x5)")
+    assert graph_to_json(g) == {
+        "vertices": [1, 2, 3, 4],
+        "edges": [{"id": 1, "tail": 1, "head": 2, "left": 1, "right": 2},
+                  {"id": 2, "tail": 1, "head": 3, "left": 2, "right": 3},
+                  {"id": 3, "tail": 3, "head": 2, "left": 2, "right": 3},
+                  {"id": 4, "tail": 2, "head": 4, "left": 1, "right": 4},
+                  {"id": 5, "tail": 2, "head": 4, "left": 4, "right": 3}],
+        "source": 1,
+        "sink": 4,
+        "outer_left": 1,
+        "outer_right": 3,
+    }
+
+
+def test_graph_of_deep_term():
+    # 5000 leaves nest 4999 deep, far beyond the interpreter's recursion limit
+    t = Variable(1)
+    for i in range(2, 5001):
+        t = (Join if i % 2 else Meet)(t, Variable(i))
+    g = graph_of_term(t)
+    assert g.n == 5000
+    assert validate(g) == []
+
+
 def test_graph_of_term_rejects_repetitions():
-    with pytest.raises(RepeatedVariableError):
+    with pytest.raises(RepeatedVariableError, match="repetition-free term"):
         graph_of_term(parse_term(r"x1 /\ x1"))
 
 
