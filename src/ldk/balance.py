@@ -65,18 +65,11 @@ class BalanceTrace:
     steps: Tuple[Step, ...]
 
 
-def _meet_chain(indices: Sequence[int]) -> Term:
-    # right-associated: w1 /\ (w2 /\ (... /\ wk))
-    node: Term = Variable(indices[-1])
-    for i in reversed(indices[:-1]):
-        node = Meet(Variable(i), node)
-    return node
-
-
-def _join_chain(indices: Sequence[int]) -> Term:
-    node: Term = Variable(indices[-1])
-    for i in reversed(indices[:-1]):
-        node = Join(Variable(i), node)
+def _chain(ctor, leaves: Sequence[Term]) -> Term:
+    # right-associated: w1 op (w2 op (... op wk))
+    node = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        node = ctor(leaf, node)
     return node
 
 
@@ -105,9 +98,12 @@ def _replace_occurrences(t: Term, builders: Mapping[int, Sequence[Term]]) -> Ter
 
 def _split_builders(step: MatrixSplitStep) -> Tuple[List[Term], List[Term]]:
     """The replacements of the left occurrences (row meets) and of the
-    right occurrences (column joins) of ``step.variable``."""
-    return ([_meet_chain(row) for row in step.fresh],
-            [_join_chain(column) for column in zip(*step.fresh)])
+    right occurrences (column joins) of ``step.variable``.  Each fresh
+    index is one ``Variable``, shared by its row and its column (terms are
+    frozen)."""
+    leaves = [[Variable(i) for i in row] for row in step.fresh]
+    return ([_chain(Meet, row) for row in leaves],
+            [_chain(Join, column) for column in zip(*leaves)])
 
 
 def _apply_step(ident: Identity, step: Step) -> Identity:

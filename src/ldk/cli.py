@@ -14,6 +14,7 @@ codes mean infrastructure problems:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,8 +135,9 @@ def cmd_normalize(args) -> int:
         return _fail(command, exc, EXIT_PARSE)
     results = []
     for ident in identities:
-        absorbed, _ = absorb_missing(ident)
-        balanced, trace = one_balance(ident)
+        absorbed, absorb_trace = absorb_missing(ident)
+        balanced, split_trace = one_balance(absorbed)
+        trace = BalanceTrace(absorb_trace.steps + split_trace.steps)
         results.append({
             "original": pretty_identity(ident),
             "absorbed": pretty_identity(absorbed),
@@ -293,7 +295,10 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: parsing leaves
+    it unchanged, and building it costs far more than one parse."""
     parser = argparse.ArgumentParser(
         prog="ldk",
         description="Decide lattice identities over Z_m submodule lattices "

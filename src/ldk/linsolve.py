@@ -3,7 +3,8 @@
 The constraints of a problem assemble into an integer matrix with entries
 in {-1, 0, 1}; solvability over Z or Z_m is decided through the Smith
 normal form, computed in exact arbitrary-precision arithmetic (Python
-ints).  A brute-force enumerator over (Z_m)^n serves as the independent
+ints) over sparse rows and a column permutation, so that its work scales
+with the nonzeros.  A brute-force enumerator over (Z_m)^n is the independent
 oracle for the solver; it is the only user of numpy, imported on call.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,8 +35,7 @@ class IntMatrix:
     rows: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+        if len(set(map(len, self.rows))) > 1:
             raise ValueError("matrix rows must all have the same length")
 
     @classmethod
@@ -46,10 +47,6 @@ class IntMatrix:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
 
-def _matvec(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> List[int]:
-    return [sum(r[j] * vec[j] for j in range(len(vec))) for r in rows]
-
-
 def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular U, V and diagonal D with U * M * V = D, the
     diagonal nonnegative with d1 | d2 | ...
@@ -57,50 +54,53 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     Pivoting is deterministic: smallest nonzero absolute value, ties by
     lowest row then lowest column.  The row-major search stops at the
     first unit entry, which that rule would pick anyway.
+
+    Rows of M and U are sparse ``{column key: value}`` dicts, V is kept by
+    columns, and a column swap only permutes ``col_at`` (position -> key)
+    and ``pos`` (key -> position).  Rows at or below step t hold entries
+    only at positions >= t, so every step reads and writes nonzeros only;
+    U and V are made dense once, for the return value.
     """
-    A = [list(row) for row in M.rows]
-    nrows = len(A)
-    ncols = len(A[0]) if A else 0
-    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    nrows, ncols = M.shape
+    A = [dict(itertools.compress(enumerate(row), row)) for row in M.rows]
+    U: List[Dict[int, int]] = [{i: 1} for i in range(nrows)]
+    V = [[0] * k + [1] + [0] * (ncols - k - 1) for k in range(ncols)]  # V[key]: a column
+    col_at = list(range(ncols))
+    pos = list(range(ncols))
 
     def row_add(dst: int, src: int, q: int) -> None:
-        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+        _add_multiple(A[dst], A[src], q)
+        _add_multiple(U[dst], U[src], q)
 
-    def col_add(dst: int, src: int, q: int) -> None:
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
+    def col_add(dst: int, src: int, q: int, holders: Sequence[int]) -> None:
+        for i in holders:
+            if src in A[i]:
+                _add_multiple(A[i], {dst: A[i][src]}, q)
+        V[dst] = [x + q * y for x, y in zip(V[dst], V[src])]
 
     def row_swap(i: int, j: int) -> None:
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            U[i], U[j] = U[j], U[i]
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
 
     def col_swap(i: int, j: int) -> None:
-        if i != j:
-            for row in A:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def row_negate(i: int) -> None:
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
+        col_at[i], col_at[j] = col_at[j], col_at[i]
+        pos[col_at[i]], pos[col_at[j]] = i, j
 
     def find_pivot(t: int) -> Optional[Tuple[int, int, int]]:
         pivot = None
-        for i in range(t, nrows):
-            row = A[i]
-            for j in range(t, ncols):
-                value = abs(row[j])
-                if value and (pivot is None or value < pivot[0]):
-                    pivot = (value, i, j)
-                    if value == 1:
-                        return pivot
+        for i, row in enumerate(A[t:], t):
+            if not row:
+                continue
+            value = min(map(abs, row.values()))
+            if pivot is None or value < pivot[0]:
+                pivot = (value, i, min(pos[k] for k, x in row.items() if abs(x) == value))
+                if value == 1:
+                    break
         return pivot
+
+    def holding(t: int) -> List[int]:  # rows below t with a nonzero at position t
+        key = col_at[t]
+        return [i for i in range(t + 1, nrows) if key in A[i]]
 
     for t in range(min(nrows, ncols)):
         pivot = find_pivot(t)
@@ -108,40 +108,65 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             break
         row_swap(t, pivot[1])
         col_swap(t, pivot[2])
-        if A[t][t] < 0:
-            row_negate(t)
+        if A[t][col_at[t]] < 0:
+            A[t] = {k: -x for k, x in A[t].items()}
+            U[t] = {k: -x for k, x in U[t].items()}
         while True:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        row_add(i, t, -q)
-                    if A[i][t]:  # 0 < remainder < pivot: adopt it as pivot
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        col_add(j, t, -q)
-                    if A[t][j]:
-                        col_swap(t, j)
-                        dirty = True
+            # a row or column op at one index leaves the later ones as they were
+            key = col_at[t]
+            below = []  # rows under t that still hold the pivot column
+            for i in holding(t):
+                q = A[i][key] // A[t][key]
+                if q:
+                    row_add(i, t, -q)
+                if A[i].get(key):  # 0 < remainder < pivot: adopt it as pivot
+                    row_swap(t, i)
+                    below.append(i)
+            dirty = bool(below)
+            for j in sorted(p for p in map(pos.__getitem__, A[t]) if p > t):
+                key, src = col_at[j], col_at[t]
+                q = A[t][key] // A[t][src]
+                if q:
+                    col_add(key, src, -q, [t] + below)
+                if A[t].get(key):
+                    col_swap(t, j)
+                    below = holding(t)
+                    dirty = True
             if dirty:
                 continue
             # cross is clear; force the pivot to divide the rest of the block
-            d = A[t][t]
+            d = A[t][col_at[t]]
             if d == 1:  # a unit divides every entry
                 break
-            offender = next(((i, j)
-                             for i in range(t + 1, nrows)
-                             for j in range(t + 1, ncols)
-                             if A[i][j] % d), None)
+            offender = next((i for i in range(t + 1, nrows)
+                             if any(x % d for x in A[i].values())), None)
             if offender is None:
                 break
-            row_add(t, offender[0], 1)
-    return IntMatrix.from_rows(U), IntMatrix.from_rows(A), IntMatrix.from_rows(V)
+            row_add(t, offender, 1)
+    return (IntMatrix(_dense(U, range(nrows))), IntMatrix(_dense(A, pos)),
+            IntMatrix(tuple(zip(*(V[k] for k in col_at)))))
+
+
+def _add_multiple(target: Dict[int, int], source: Dict[int, int], q: int) -> None:
+    """target += q * source, dropping the entries that become zero."""
+    for k, x in source.items():
+        value = target.get(k, 0) + q * x
+        if value:
+            target[k] = value
+        else:
+            del target[k]
+
+
+def _dense(rows: Sequence[Dict[int, int]],
+           place: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Sparse rows as tuples, the entry of key k at position place[k]."""
+    out = []
+    for row in rows:
+        dense = [0] * len(place)
+        for k, x in row.items():
+            dense[place[k]] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -175,7 +200,7 @@ def solve(M: IntMatrix, rhs: Sequence[int], group: GroupSpec) -> SolutionReport:
     if len(rhs) != nrows:
         raise ValueError(f"right-hand side has length {len(rhs)}, expected {nrows}")
     U, D, V = smith_normal_form(M)
-    rhs2 = _matvec(U.rows, list(rhs))
+    rhs2 = [sum(map(operator.mul, row, rhs)) for row in U.rows]
     diag = [D.rows[i][i] for i in range(min(nrows, ncols))]
     m = group.modulus
     y = [0] * ncols
@@ -205,14 +230,13 @@ def solve(M: IntMatrix, rhs: Sequence[int], group: GroupSpec) -> SolutionReport:
                     y[i] = (c // g) * pow((d // g) % mm, -1, mm) % mm
     particular = None
     if solvable:
-        x = _matvec(V.rows, y)
-        particular = tuple(group.reduce(value) for value in x)
+        x = [sum(map(operator.mul, row, y)) for row in V.rows]
+        particular = tuple(map(group.reduce, x))
     kernel: List[Tuple[int, ...]] = []
-    for j in range(ncols):
+    for j, column in enumerate(zip(*V.rows)):
         d = diag[j] if j < len(diag) else 0
-        column = tuple(V.rows[r][j] for r in range(ncols))
         if d == 0:
-            vec = tuple(group.reduce(value) for value in column)
+            vec = tuple(map(group.reduce, column))
             if m == 0 or any(vec):
                 kernel.append(vec)
         elif m:
@@ -222,14 +246,10 @@ def solve(M: IntMatrix, rhs: Sequence[int], group: GroupSpec) -> SolutionReport:
                 vec = tuple((scale * value) % m for value in column)
                 if any(vec):
                     kernel.append(vec)
-    deduped: List[Tuple[int, ...]] = []
-    for vec in kernel:
-        if vec not in deduped:
-            deduped.append(vec)
     return SolutionReport(
         solvable=solvable,
         particular=particular,
-        kernel_generators=tuple(deduped),
+        kernel_generators=tuple(dict.fromkeys(kernel)),
         snf_diagonal=tuple(diag),
         modulus=m,
     )
@@ -323,7 +343,7 @@ def assemble_system(problem: PbgProblem, mode: str = "full",
                     keep(tuple(row), target)
     else:
         raise ValueError(f"unknown assembly mode {mode!r}")
-    return IntMatrix.from_rows(rows), tuple(rhs)
+    return IntMatrix(tuple(rows)), tuple(rhs)
 
 
 def solve_problem(problem: PbgProblem, mode: str = "facet_reduced",

@@ -17,6 +17,17 @@ R1_TEXT = (r"(((x3 \/ (x3 /\ (x1 \/ x1))) \/ (x2 \/ x4)) /\ x1)"
            r" <= (x1 /\ x1)")
 MODULAR_TEXT = r"x1 /\ (x2 \/ (x1 /\ x3)) <= (x1 /\ x2) \/ (x1 /\ x3)"
 R_TEXT = r"(x1 \/ (x2 /\ (x3 \/ x4)) \/ x5) /\ (((x6 \/ x7) /\ (x8 \/ x9)) \/ x10)"
+# random_balanced_identity(random.Random(32), 32), pretty-printed
+BALANCED_32_TEXT = (
+    r"((x29 \/ ((x14 /\ (x22 \/ x31)) /\ (((x19 /\ x18) \/ ((x15 \/ "
+    r"x26) \/ x13)) /\ (x12 /\ x3)))) \/ (((x9 /\ (x24 /\ x28)) \/ (x6 "
+    r"/\ (x25 \/ ((x20 \/ x27) \/ x21)))) /\ ((x17 /\ (x11 /\ x4)) /\ "
+    r"(x2 \/ (x1 /\ (x16 /\ (((x8 \/ x23) \/ x10) /\ (x32 /\ ((x7 \/ "
+    r"x30) /\ x5))))))))) <= (((x22 \/ (x32 \/ ((x31 \/ x30) /\ (x17 /\ "
+    r"(x9 \/ x10))))) \/ (((x18 \/ x29) \/ x13) \/ (x3 /\ ((x25 \/ (x28 "
+    r"\/ x2)) \/ (x7 \/ x15))))) /\ (((x27 \/ x14) /\ ((x11 \/ x6) \/ "
+    r"(x19 \/ (((x24 /\ x4) \/ x26) /\ (x16 \/ (x1 \/ x8)))))) /\ (x20 "
+    r"\/ (((x5 \/ x12) /\ x21) \/ x23))))")
 
 
 def run(capsys, argv):
@@ -183,6 +194,71 @@ def test_check_is_deterministic(capsys):
     code2 = main(argv)
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0 and out1.encode() == out2.encode()
+
+
+def _report_text(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_check_modular_self_dual_report_is_pinned(capsys):
+    # stdout as the dense Smith form produced it, byte for byte
+    balanced = (r"((x4 /\ x5) /\ (x2 \/ ((x6 /\ x7) /\ x3)))"
+                r" <= (((x4 \/ x6) /\ x2) \/ ((x5 \/ x7) /\ x3))")
+    outputs = [{
+        "balanced": balanced,
+        "holds": True,
+        "identity": r"(x1 /\ (x2 \/ (x1 /\ x3))) <= ((x1 /\ x2) \/ (x1 /\ x3))",
+        "modulus": modulus,
+        "self_duality": {"dual_identity_holds": True, "dual_problem_solvable": True,
+                         "identity_holds": True, "problem_solvable": True},
+        "solution": {"kernel_generators": [], "modulus": modulus,
+                     "particular": [1, 1, 1, 0, fifth, 1],
+                     "snf_diagonal": [1] * 6, "solvable": True},
+    } for modulus, fifth in ((0, -1), (2, 1), (3, 2), (4, 3), (6, 5))]
+    assert main(["check", MODULAR_TEXT, "--mod", "0,2,3,4,6", "--self-dual"]) == 0
+    assert capsys.readouterr().out == _report_text({
+        "command": "check",
+        "inputs": {"b": 1, "identity": MODULAR_TEXT, "mod": [0, 2, 3, 4, 6]},
+        "outputs": outputs,
+        "status": "ok",
+    })
+
+
+def test_check_balanced_32_report_is_pinned(capsys):
+    kernel = [0] * 32
+    kernel[0], kernel[15] = 1, -1
+    assert main(["check", BALANCED_32_TEXT]) == 0
+    assert capsys.readouterr().out == _report_text({
+        "command": "check",
+        "inputs": {"b": 1, "identity": BALANCED_32_TEXT, "mod": [0]},
+        "outputs": [{
+            "balanced": BALANCED_32_TEXT,
+            "holds": False,
+            "identity": BALANCED_32_TEXT,
+            "modulus": 0,
+            "solution": {"kernel_generators": [kernel], "modulus": 0,
+                         "particular": None, "snf_diagonal": [1] * 31 + [0],
+                         "solvable": False},
+        }],
+        "status": "ok",
+    })
+
+
+def test_main_reuses_its_parser_safely(capsys):
+    argv = ["check", MODULAR_TEXT, "--mod", "0,4", "-b", "2"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    for bad in (["check", MODULAR_TEXT, "--oracle", "two"], ["frobnicate"]):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(bad)
+            assert info.value.code == 2
+            assert capsys.readouterr().out == ""
+    assert main(["normalize", "x1 <= x1"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
 
 def _write_problem(tmp_path, ident_text, modulus, b=1):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import ldk.linsolve
 from conftest import random_balanced_identity
 from ldk.decision import build_problem
 from ldk.linsolve import (
@@ -59,6 +60,113 @@ def brute_solution_set(M, rhs, m, n):
                for row, target in zip(M.rows, rhs)):
             out.add(vec)
     return out
+
+
+def _dense_snf(M):
+    """The dense Smith normal form that the sparse one replaced, kept as
+    its reference: the same pivot rule and the same sequence of row and
+    column operations, on dense lists with U built as rows x rows."""
+    A = [list(row) for row in M.rows]
+    nrows = len(A)
+    ncols = len(A[0]) if A else 0
+    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def row_add(dst, src, q):
+        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
+        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+
+    def col_add(dst, src, q):
+        for row in A:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for row in A + V:
+            row[i], row[j] = row[j], row[i]
+
+    def find_pivot(t):
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                value = abs(A[i][j])
+                if value and (pivot is None or value < pivot[0]):
+                    pivot = (value, i, j)
+                    if value == 1:
+                        return pivot
+        return pivot
+
+    for t in range(min(nrows, ncols)):
+        pivot = find_pivot(t)
+        if pivot is None:
+            break
+        row_swap(t, pivot[1])
+        col_swap(t, pivot[2])
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
+        while True:
+            dirty = False
+            for i in range(t + 1, nrows):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    if q:
+                        row_add(i, t, -q)
+                    if A[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, ncols):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    if q:
+                        col_add(j, t, -q)
+                    if A[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            d = A[t][t]
+            if d == 1:
+                break
+            offender = next(((i, j)
+                             for i in range(t + 1, nrows)
+                             for j in range(t + 1, ncols)
+                             if A[i][j] % d), None)
+            if offender is None:
+                break
+            row_add(t, offender[0], 1)
+    return IntMatrix.from_rows(U), IntMatrix.from_rows(A), IntMatrix.from_rows(V)
+
+
+def _random_matrix(rng, max_rows, max_cols, values):
+    """Random entries from ``values``; about a third of the matrices get an
+    all-zero row, and a third an all-zero column."""
+    nrows, ncols = rng.randint(1, max_rows), rng.randint(1, max_cols)
+    rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.35:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if rng.random() < 0.35:
+        column = rng.randrange(ncols)
+        for row in rows:
+            row[column] = 0
+    return rows
+
+
+def _assert_unimodular_factorization(M, U, D, V):
+    """U * M * V == D with det U and det V in {1, -1} (sympy's exact
+    determinant over ZZ)."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    assert naive_matmul(naive_matmul(U.rows, M.rows), V.rows) == \
+        [list(r) for r in D.rows]
+    for W in (U, V):
+        assert DomainMatrix.from_list([list(r) for r in W.rows], ZZ).det() in (1, -1)
 
 
 def test_assemble_meet_join_rows():
@@ -129,6 +237,52 @@ def test_snf_diagonal_matches_sympy_invariant_factors():
         diag = tuple(D.rows[i][i] for i in range(min(nrows, ncols)))
         expected = invariant_factors(Matrix(rows), domain=ZZ)
         assert diag == tuple(int(d) for d in expected), rows
+
+
+def test_snf_matches_dense_reference():
+    rng = random.Random(81)
+    cases = [_random_matrix(rng, 12, 8, (-1, 0, 1)) for _ in range(300)]
+    # beyond 6 x 6 the dense U entries of {-6..6} matrices run to
+    # thousands of digits: the coefficient growth of plain elimination
+    cases += [_random_matrix(rng, 6, 6, range(-6, 7)) for _ in range(300)]
+    assert any(not any(row) for rows in cases for row in rows)
+    assert any(not any(column) for rows in cases for column in zip(*rows))
+    for rows in cases:
+        M = IntMatrix.from_rows(rows)
+        U, D, V = smith_normal_form(M)
+        assert (U, D, V) == _dense_snf(M), rows
+        _assert_unimodular_factorization(M, U, D, V)
+    assert smith_normal_form(IntMatrix(())) == _dense_snf(IntMatrix(())) == \
+        (IntMatrix(()), IntMatrix(()), IntMatrix(()))
+
+
+def test_snf_matches_dense_reference_on_assembled_systems(balanced_corpus):
+    for ident in balanced_corpus[:30]:
+        primal = build_problem(ident, 0, 1)
+        for problem in (primal, dual_problem(primal), transpose_problem(primal)):
+            M, _ = assemble_system(problem, mode="facet_reduced")
+            U, D, V = smith_normal_form(M)
+            assert (U, D, V) == _dense_snf(M)
+            _assert_unimodular_factorization(M, U, D, V)
+
+
+def test_solve_factors_once_through_the_module_attribute(monkeypatch):
+    # the benchmark counts factorizations by wrapping this attribute
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(ldk.linsolve, "smith_normal_form", counted)
+    M = IntMatrix.from_rows([[1, 1, 0], [2, 0, 2], [0, 0, 0]])
+    for m in (0, 2, 3, 4):
+        calls.clear()
+        solve(M, [1, 2, 0], GroupSpec(m))
+        assert calls == [M]
+    calls.clear()
+    solve_problem(build_problem(MEET_JOIN, 0, 1))
+    assert len(calls) == 1
 
 
 def test_snf_is_deterministic():
