@@ -24,8 +24,7 @@ step and is the reference that plan is tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .terms import (
     Identity,
@@ -38,16 +37,14 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class AbsorbStep:
+class AbsorbStep(NamedTuple):
     """Absorption of ``variable`` into ``side`` ("lhs" or "rhs" was rewritten)."""
 
     variable: int
     side: str
 
 
-@dataclass(frozen=True)
-class MatrixSplitStep:
+class MatrixSplitStep(NamedTuple):
     """Replacement of ``variable`` (u left / v right occurrences) by the
     fresh index matrix ``fresh`` (u rows by v columns, row-major)."""
 
@@ -60,8 +57,7 @@ class MatrixSplitStep:
 Step = Union[AbsorbStep, MatrixSplitStep]
 
 
-@dataclass(frozen=True)
-class BalanceTrace:
+class BalanceTrace(NamedTuple):
     steps: Tuple[Step, ...]
 
 
@@ -100,7 +96,7 @@ def _split_builders(step: MatrixSplitStep) -> Tuple[List[Term], List[Term]]:
     """The replacements of the left occurrences (row meets) and of the
     right occurrences (column joins) of ``step.variable``.  Each fresh
     index is one ``Variable``, shared by its row and its column (terms are
-    frozen)."""
+    never mutated)."""
     leaves = [[Variable(i) for i in row] for row in step.fresh]
     return ([_chain(Meet, row) for row in leaves],
             [_chain(Join, column) for column in zip(*leaves)])

@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .pbg import GroupSpec, PbgProblem, transp_content
 from .planegraph import (DEFAULT_PATH_LIMIT, facet_sides, first_path, maximal_paths,
@@ -30,13 +29,24 @@ class CapExceededError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    rows: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if len(set(map(len, self.rows))) > 1:
+    def __init__(self, rows: Tuple[Tuple[int, ...], ...]):
+        if len(set(map(len, rows))) > 1:
             raise ValueError("matrix rows must all have the same length")
+        self.rows = rows
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows,))
+
+    def __repr__(self):
+        return f"IntMatrix(rows={self.rows!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -169,8 +179,7 @@ def _dense(rows: Sequence[Dict[int, int]],
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(NamedTuple):
     solvable: bool
     particular: Optional[Tuple[int, ...]]
     kernel_generators: Tuple[Tuple[int, ...], ...]

@@ -11,7 +11,6 @@ the sink.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -32,17 +31,28 @@ class ProblemFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class GroupSpec:
     """The group Z_m: m = 0 is the integers, m = 1 the trivial group."""
 
-    modulus: int = 0
+    __slots__ = ("modulus",)
 
-    def __post_init__(self):
-        if isinstance(self.modulus, bool) or not isinstance(self.modulus, int):
+    def __init__(self, modulus: int = 0):
+        if isinstance(modulus, bool) or not isinstance(modulus, int):
             raise ValueError("modulus must be an integer")
-        if self.modulus < 0:
+        if modulus < 0:
             raise ValueError("modulus must be >= 0")
+        self.modulus = modulus
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.modulus == other.modulus
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.modulus,))
+
+    def __repr__(self):
+        return f"GroupSpec(modulus={self.modulus!r})"
 
     def reduce(self, x: int) -> int:
         return x % self.modulus if self.modulus else x
@@ -51,15 +61,24 @@ class GroupSpec:
 INTEGERS = GroupSpec(0)
 
 
-@dataclass
 class ContentSystem:
     """A total map from the vertices of one graph to group elements."""
 
-    values: Dict[object, int]
-    group: GroupSpec = INTEGERS
+    __slots__ = ("values", "group")
 
-    def __post_init__(self):
-        self.values = {v: self.group.reduce(x) for v, x in self.values.items()}
+    def __init__(self, values: Dict[object, int], group: GroupSpec = INTEGERS):
+        self.group = group
+        self.values = {v: group.reduce(x) for v, x in values.items()}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.values, self.group) == (other.values, other.group)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"ContentSystem(values={self.values!r}, group={self.group!r})"
 
     @classmethod
     def zero(cls, g: PlaneGraph, group: GroupSpec = INTEGERS) -> "ContentSystem":
@@ -152,21 +171,39 @@ def set_effect(g: PlaneGraph, a: Capacities, X: Iterable[int],
     return ContentSystem(values, group)
 
 
-@dataclass
 class PbgProblem:
     """Flow graph, control graph, group, and target; edges correspond by
     shared index.  Both graphs must be valid; this is not checked here.
     Graphs from files are validated when loaded; compiled graphs, their
     duals and their transposes are valid by construction."""
 
-    flow: PlaneGraph
-    control: PlaneGraph
-    group: GroupSpec
-    b: int
+    __slots__ = ("flow", "control", "group", "b")
+
+    def __init__(self, flow: PlaneGraph, control: PlaneGraph,
+                 group: GroupSpec, b: int):
+        self.flow = flow
+        self.control = control
+        self.group = group
+        self.b = b
+        self.__post_init__()
 
     def __post_init__(self):
+        # a separate method, looked up on the class, so that it can be
+        # wrapped to count every problem built
         if self.flow.edge_indices != self.control.edge_indices:
             raise ValueError("flow and control graphs must share one edge index set")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.flow, self.control, self.group, self.b)
+                    == (other.flow, other.control, other.group, other.b))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"PbgProblem(flow={self.flow!r}, control={self.control!r}, "
+                f"group={self.group!r}, b={self.b!r})")
 
     @property
     def n(self) -> int:

@@ -23,8 +23,7 @@ transposes are valid by construction, so nothing validates them again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .terms import Join, Term, Variable
 
@@ -56,25 +55,46 @@ class GraphFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     tail: VertexId
     head: VertexId
     left: FacetId
     right: FacetId
 
 
-@dataclass
 class PlaneGraph:
-    """Immutable by convention; construct once, never mutate."""
+    """Immutable by convention; construct once, never mutate.  Equal when
+    all seven fields are equal; unhashable, since ``edges`` is a dict."""
 
-    vertices: frozenset
-    edges: Dict[int, Edge]
-    facets: frozenset
-    source: VertexId
-    sink: VertexId
-    outer_left: FacetId
-    outer_right: FacetId
+    __slots__ = ("vertices", "edges", "facets", "source", "sink",
+                 "outer_left", "outer_right")
+
+    def __init__(self, vertices: frozenset, edges: Dict[int, Edge],
+                 facets: frozenset, source: VertexId, sink: VertexId,
+                 outer_left: FacetId, outer_right: FacetId):
+        self.vertices = vertices
+        self.edges = edges
+        self.facets = facets
+        self.source = source
+        self.sink = sink
+        self.outer_left = outer_left
+        self.outer_right = outer_right
+
+    def _values(self) -> tuple:
+        return (self.vertices, self.edges, self.facets, self.source,
+                self.sink, self.outer_left, self.outer_right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return ("PlaneGraph(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._values())) + ")")
 
     @property
     def n(self) -> int:

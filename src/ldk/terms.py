@@ -13,8 +13,7 @@ equational form ``p = q`` is the conjunction of ``p <= q`` and ``q <= p``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Set, Tuple, Union
 
 
 class ParseError(ValueError):
@@ -25,32 +24,62 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class Variable:
-    index: int
+    """The variable ``x<index>``.  Term nodes are immutable by convention:
+    they are shared between terms, and hash by their fields."""
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        self.index = index
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.index,))
+
+    def __repr__(self):
+        return f"Variable(index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "Term"
-    right: "Term"
+class _Binary:
+    """A join or meet node; a ``Join`` never equals a ``Meet``."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Term", right: "Term"):
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True)
-class Meet:
-    left: "Term"
-    right: "Term"
+class Join(_Binary):
+    __slots__ = ()
+
+
+class Meet(_Binary):
+    __slots__ = ()
 
 
 Term = Union[Variable, Join, Meet]
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """The inequality ``lhs <= rhs``, quantified over all variables."""
 
     lhs: Term
@@ -206,8 +235,7 @@ def occurrence_counts(t: Term) -> Dict[int, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class OccurrenceProfile:
+class OccurrenceProfile(NamedTuple):
     """Per variable: (number of occurrences in lhs, in rhs)."""
 
     counts: Dict[int, Tuple[int, int]]

@@ -18,16 +18,14 @@ from conftest import (
     three_edge_fragment,
 )
 from ldk.balance import one_balance
-from ldk.decision import (
-    build_problem,
-    check_identity,
-    check_self_duality,
+from ldk.decision import build_problem, check_identity, check_self_duality
+from ldk.linsolve import assemble_system, enumerate_solutions, solve_problem
+from ldk.oracles import (
     eval_term_on_spans,
     membership_via_contents,
     oracle_holds,
     subspace_lattice,
 )
-from ldk.linsolve import assemble_system, enumerate_solutions, solve_problem
 from ldk.pbg import (
     INTEGERS,
     dual_problem,

@@ -8,7 +8,7 @@ from ldk.balance import (
     one_balance,
     replay,
 )
-from ldk.decision import oracle_holds, subspace_lattice
+from ldk.oracles import oracle_holds, subspace_lattice
 from ldk.terms import (
     Identity,
     Meet,

@@ -133,15 +133,77 @@ def test_check_never_enumerates_control_paths(capsys, monkeypatch):
     assert all(entry["holds"] for entry in report["outputs"])
 
 
-def test_importing_the_cli_loads_no_numpy():
+def _fresh_modules(statement):
+    """The modules of ``sys.modules`` in a fresh interpreter that has run
+    ``statement``."""
     src = str(Path(ldk.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ldk.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{statement}; print(' '.join(sys.modules))"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         check=True)
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # what `ldk check` loads before it works is most of its cost
+    loaded = _fresh_modules("import sys, ldk.cli")
+    assert "ldk.decision" in loaded
+    assert loaded.isdisjoint({"numpy", "dataclasses", "inspect", "ldk.oracles"})
+    package = _fresh_modules("import sys, ldk")
+    assert "ldk" in package
+    assert not [name for name in package if name.startswith("ldk.")]
+
+
+# every name `ldk` exported when its __init__ imported all submodules
+PACKAGE_EXPORTS = {
+    "terms": ["Identity", "Join", "Meet", "ParseError", "Term", "Variable",
+              "dual_identity", "dual_term", "is_one_balanced",
+              "is_repetition_free", "occurrences", "parse_identity",
+              "parse_term", "pretty", "pretty_identity"],
+    "balance": ["BalanceTrace", "absorb_missing", "one_balance", "replay"],
+    "planegraph": ["Edge", "GraphFormatError", "GraphValidationError",
+                   "PathLimitExceededError", "PlaneGraph",
+                   "RepeatedVariableError", "dot_export", "dual_graph",
+                   "graph_from_json", "graph_of_term", "graph_to_json",
+                   "iso_check", "maximal_paths", "transpose_graph", "validate"],
+    "pbg": ["ContentSystem", "GroupSpec", "PbgProblem", "dual_problem",
+            "edge_effect", "init_content", "is_solution", "problem_from_json",
+            "problem_to_json", "set_effect", "term_content", "transp_content",
+            "transpose_problem"],
+    "linsolve": ["CapExceededError", "IntMatrix", "SolutionReport",
+                 "assemble_system", "enumerate_solutions", "smith_normal_form",
+                 "solve", "solve_problem"],
+    "decision": ["DualityError", "Verdict", "build_problem", "check_identity",
+                 "check_self_duality"],
+    "oracles": ["OracleCapError", "SubspaceLattice", "membership_via_contents",
+                "oracle_holds", "subspace_lattice"],
+}
+
+
+def test_package_names_resolve_to_their_submodules():
+    import importlib
+
+    for module, names in PACKAGE_EXPORTS.items():
+        owner = importlib.import_module(f"ldk.{module}")
+        for name in names:
+            namespace = {}
+            exec(f"from ldk import {name}", namespace)
+            assert getattr(ldk, name) is getattr(owner, name), name
+            assert namespace[name] is getattr(owner, name), name
+    assert sorted(ldk.__all__) == sorted(sum(PACKAGE_EXPORTS.values(), []))
+    with pytest.raises(AttributeError):
+        ldk.no_such_name
+
+
+def test_check_oracle_above_its_variable_cap_exits_5(capsys):
+    code = main(["check", r"x1 /\ x2 /\ x3 <= x4 \/ x5 \/ x6",
+                 "--mod", "2", "--oracle", "3"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert code == 5
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "OracleCapError"
 
 
 def test_check_modular_self_dual(capsys):

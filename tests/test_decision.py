@@ -6,10 +6,12 @@ import pytest
 from conftest import random_repetition_free_term
 from ldk.decision import (
     DualityError,
-    OracleCapError,
     build_problem,
     check_identity,
     check_self_duality,
+)
+from ldk.oracles import (
+    OracleCapError,
     eval_term_on_spans,
     membership_via_contents,
     oracle_holds,
